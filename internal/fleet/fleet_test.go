@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"reflect"
 	"strconv"
 	"strings"
@@ -333,6 +334,23 @@ func TestFleetRejectsBadShapes(t *testing.T) {
 	}
 	if _, err := Stream(240, 10, 1, 4, 32, 1.5); err == nil {
 		t.Error("locality 1.5 accepted")
+	}
+}
+
+// A NaN cartridge-loss rate reaches every shard through Clone; the
+// sweep must fail instead of running the cells fault-free.
+func TestSweepRejectsNaNLoss(t *testing.T) {
+	_, err := Sweep(SweepConfig{
+		TapeCount:    4,
+		Objects:      32,
+		RatesPerHour: []float64{120},
+		ShardCounts:  []int{2},
+		Routers:      []Router{LeastLoaded{}},
+		Requests:     20,
+		Lifecycle:    fault.LifecycleConfig{CartridgeLossRate: math.NaN()},
+	})
+	if err == nil || !strings.Contains(err.Error(), "CartridgeLossRate") {
+		t.Fatalf("NaN cartridge loss: err = %v", err)
 	}
 }
 

@@ -3,10 +3,7 @@ package hsm
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"serpentine/internal/geometry"
 	"serpentine/internal/obs"
@@ -103,16 +100,23 @@ type Cell struct {
 // on the config and the cell coordinates — so the sweep's output is
 // identical at any worker count.
 func Sweep(cfg SweepConfig) ([]Cell, error) {
+	if err := sim.CheckSizes("hsm: sweep", map[string]int{
+		"TapeCount": cfg.TapeCount, "Objects": cfg.Objects, "ObjectSegments": cfg.ObjectSegments,
+		"Drives": cfg.Drives, "BatchLimit": cfg.BatchLimit, "QueueCap": cfg.QueueCap,
+		"Requests": cfg.Requests, "Workers": cfg.Workers,
+	}); err != nil {
+		return nil, err
+	}
 	tapeCount := cfg.TapeCount
-	if tapeCount <= 0 {
+	if tapeCount == 0 {
 		tapeCount = 4
 	}
 	objects := cfg.Objects
-	if objects <= 0 {
+	if objects == 0 {
 		objects = 512
 	}
 	objSegs := cfg.ObjectSegments
-	if objSegs <= 0 {
+	if objSegs == 0 {
 		objSegs = 32
 	}
 	rates := cfg.RatesPerHour
@@ -133,7 +137,7 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 		}
 	}
 	drives := cfg.Drives
-	if drives <= 0 {
+	if drives == 0 {
 		drives = 2
 	}
 	limit := cfg.BatchLimit
@@ -141,7 +145,7 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 		limit = 16
 	}
 	n := cfg.Requests
-	if n <= 0 {
+	if n == 0 {
 		n = 400
 	}
 	profile := cfg.Profile
@@ -155,155 +159,116 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 	serials := base.Tapes()
 
 	// The size-0 baseline is policy-independent: one spec per rate,
-	// not one per policy.
+	// not one per policy. Each spec carries the registry its cell
+	// records into, merged below in spec order.
 	type cellSpec struct {
 		rateIdx int
 		size    int64
 		policy  string
+		reg     *obs.Registry
 	}
 	var specs []cellSpec
 	for ri := range rates {
 		for _, size := range sizes {
 			if size == 0 {
-				specs = append(specs, cellSpec{ri, 0, "off"})
+				specs = append(specs, cellSpec{ri, 0, "off", obs.NewRegistry()})
 				continue
 			}
 			for _, pol := range policies {
-				specs = append(specs, cellSpec{ri, size, pol})
+				specs = append(specs, cellSpec{ri, size, pol, obs.NewRegistry()})
 			}
 		}
 	}
-	cells := make([]Cell, len(specs))
-	regs := make([]*obs.Registry, len(specs))
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-
-	var (
-		wg   sync.WaitGroup
-		next atomic.Int64
-		errs = make(chan error, workers)
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(specs) {
-					return
-				}
-				sp := specs[i]
-				rate := rates[sp.rateIdx]
-				// One seed per rate, in tertiary.Sweep's index
-				// positions with single-element inner axes: every
-				// cache size and policy replays the same workload, and
-				// the size-0 cells share streams with the bare library
-				// sweep.
-				seed := cfg.Seed*1000003 + int64(sp.rateIdx)*8191 + 7
-				stream, err := tertiary.SweepStream(rate, n, seed, tapeCount, objects)
-				if err != nil {
-					reportErr(errs, fmt.Errorf("hsm: sweep arrivals %g/h: %w", rate, err))
-					return
-				}
-				reg := obs.NewRegistry()
-				var spans *obs.Tracer
-				if cfg.SpanCap > 0 {
-					spans = obs.NewTracer(cfg.SpanCap)
-				}
-				labels := []obs.Label{
-					obs.L("rate", fmt.Sprintf("%g", rate)),
-					obs.L("drives", strconv.Itoa(drives)),
-					obs.L("batch", strconv.Itoa(limit)),
-				}
-				if sp.size > 0 {
-					labels = append(labels,
-						obs.L("cache", strconv.FormatInt(sp.size, 10)),
-						obs.L("policy", sp.policy))
-				}
-				lib := base.Clone(tertiary.Config{
-					Profile:    profile,
-					Tapes:      serials,
-					Drives:     drives,
-					MountSec:   cfg.MountSec,
-					UnmountSec: cfg.UnmountSec,
-					BatchLimit: limit,
-					Scheduler:  nil,
-					Policy:     cfg.Policy,
-					WindowSec:  cfg.WindowSec,
-					QueueCap:   cfg.QueueCap,
-					Retry:      cfg.Retry,
-					Reg:        reg,
-					Spans:      spans,
-					Labels:     labels,
-				})
-				var tierCfg Config
-				if sp.size > 0 {
-					tierCfg = Config{
-						CapacityBytes: sp.size,
-						Policy:        sp.policy,
-						Disk:          cfg.Disk,
-						Prefetch:      cfg.Prefetch,
-					}
-				}
-				tier, err := NewTier(lib, tierCfg)
-				if err != nil {
-					reportErr(errs, fmt.Errorf("hsm: sweep cell %g/h %s %s: %w", rate, sizeLabel(sp.size), sp.policy, err))
-					return
-				}
-				comps, m, err := tier.Run(stream)
-				if err != nil {
-					reportErr(errs, fmt.Errorf("hsm: sweep cell %g/h %s %s: %w", rate, sizeLabel(sp.size), sp.policy, err))
-					return
-				}
-				cell := Cell{RatePerHour: rate, CacheBytes: sp.size, Policy: sp.policy, Metrics: m}
-				lats := make([]float64, len(comps))
-				var sum float64
-				for j, c := range comps {
-					lats[j] = c.Latency()
-					sum += lats[j]
-					if lats[j] > cell.MaxSojourn {
-						cell.MaxSojourn = lats[j]
-					}
-				}
-				if len(lats) > 0 {
-					cell.MeanSojourn = sum / float64(len(lats))
-				}
-				cell.P99Sojourn = stats.PercentileOrZero(lats, 99)
-				if spans != nil {
-					cell.Spans = spans.Spans()
-					cell.Completions = comps
-				}
-				cells[i] = cell
-				regs[i] = reg
+	cells, err := sim.Cells(specs, cfg.Workers, func(sp cellSpec) (Cell, error) {
+		rate := rates[sp.rateIdx]
+		// One seed per rate, in tertiary.Sweep's index
+		// positions with single-element inner axes: every
+		// cache size and policy replays the same workload, and
+		// the size-0 cells share streams with the bare library
+		// sweep.
+		seed := cfg.Seed*1000003 + int64(sp.rateIdx)*8191 + 7
+		stream, err := tertiary.SweepStream(rate, n, seed, tapeCount, objects)
+		if err != nil {
+			return Cell{}, fmt.Errorf("hsm: sweep arrivals %g/h: %w", rate, err)
+		}
+		var spans *obs.Tracer
+		if cfg.SpanCap > 0 {
+			spans = obs.NewTracer(cfg.SpanCap)
+		}
+		labels := []obs.Label{
+			obs.L("rate", fmt.Sprintf("%g", rate)),
+			obs.L("drives", strconv.Itoa(drives)),
+			obs.L("batch", strconv.Itoa(limit)),
+		}
+		if sp.size > 0 {
+			labels = append(labels,
+				obs.L("cache", strconv.FormatInt(sp.size, 10)),
+				obs.L("policy", sp.policy))
+		}
+		lib := base.Clone(tertiary.Config{
+			Profile:    profile,
+			Tapes:      serials,
+			Drives:     drives,
+			MountSec:   cfg.MountSec,
+			UnmountSec: cfg.UnmountSec,
+			BatchLimit: limit,
+			Scheduler:  nil,
+			Policy:     cfg.Policy,
+			WindowSec:  cfg.WindowSec,
+			QueueCap:   cfg.QueueCap,
+			Retry:      cfg.Retry,
+			Reg:        sp.reg,
+			Spans:      spans,
+			Labels:     labels,
+		})
+		var tierCfg Config
+		if sp.size > 0 {
+			tierCfg = Config{
+				CapacityBytes: sp.size,
+				Policy:        sp.policy,
+				Disk:          cfg.Disk,
+				Prefetch:      cfg.Prefetch,
 			}
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
+		}
+		tier, err := NewTier(lib, tierCfg)
+		if err != nil {
+			return Cell{}, fmt.Errorf("hsm: sweep cell %g/h %s %s: %w", rate, sizeLabel(sp.size), sp.policy, err)
+		}
+		comps, m, err := tier.Run(stream)
+		if err != nil {
+			return Cell{}, fmt.Errorf("hsm: sweep cell %g/h %s %s: %w", rate, sizeLabel(sp.size), sp.policy, err)
+		}
+		cell := Cell{RatePerHour: rate, CacheBytes: sp.size, Policy: sp.policy, Metrics: m}
+		lats := make([]float64, len(comps))
+		var sum float64
+		for j, c := range comps {
+			lats[j] = c.Latency()
+			sum += lats[j]
+			if lats[j] > cell.MaxSojourn {
+				cell.MaxSojourn = lats[j]
+			}
+		}
+		if len(lats) > 0 {
+			cell.MeanSojourn = sum / float64(len(lats))
+		}
+		cell.P99Sojourn = stats.PercentileOrZero(lats, 99)
+		if spans != nil {
+			cell.Spans = spans.Spans()
+			cell.Completions = comps
+		}
+		return cell, nil
+	})
+	if err != nil {
 		return nil, err
-	default:
 	}
 	if cfg.Reg != nil {
-		// Merge in spec order so the aggregated dump is independent of
-		// which worker ran which cell.
-		for _, r := range regs {
-			cfg.Reg.Merge(r)
+		// Merge in spec order so the aggregated dump is independent
+		// of which worker ran which cell.
+		for _, sp := range specs {
+			cfg.Reg.Merge(sp.reg)
 		}
 	}
 	return cells, nil
-}
-
-func reportErr(errs chan<- error, err error) {
-	select {
-	case errs <- err:
-	default:
-	}
 }
 
 // sizeLabel renders a cache capacity for tables: "off" for 0,

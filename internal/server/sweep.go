@@ -3,9 +3,6 @@ package server
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"serpentine/internal/core"
 	"serpentine/internal/fault"
@@ -65,13 +62,6 @@ type SweepConfig struct {
 	// merged metrics — depends on scheduling; use tertiary.Sweep's
 	// per-cell span capture when byte-determinism matters.
 	Spans *obs.Tracer
-	// Analytical replaces each cell's event-driven run with the
-	// closed-form twin (AnalyticalRun): same admission, batching and
-	// scheduling decisions, model-based costs instead of drive
-	// emulation. Faults, metrics and spans are not produced in this
-	// mode; use it for coarse grid scans. See AnalyticalRun for the
-	// accuracy envelope.
-	Analytical bool
 }
 
 // SweepCell is one (rate, policy, scheduler) outcome.
@@ -88,6 +78,12 @@ type SweepCell struct {
 // only on the config and the cell coordinates — so the sweep's output
 // is identical at any worker count.
 func Sweep(cfg SweepConfig) ([]SweepCell, error) {
+	if err := sim.CheckSizes("server: sweep", map[string]int{
+		"Requests": cfg.Requests, "QueueCap": cfg.QueueCap, "MaxBatch": cfg.MaxBatch,
+		"ReadLen": cfg.ReadLen, "Workers": cfg.Workers,
+	}); err != nil {
+		return nil, err
+	}
 	rates := cfg.RatesPerHour
 	if rates == nil {
 		rates = []float64{30, 60, 120}
@@ -101,105 +97,71 @@ func Sweep(cfg SweepConfig) ([]SweepCell, error) {
 		scheds = []core.Scheduler{core.Sort{}, core.NewSLTF(), core.Scan{}, core.Weave{}, core.NewLOSS()}
 	}
 	n := cfg.Requests
-	if n <= 0 {
+	if n == 0 {
 		n = 300
 	}
 
+	// Each spec carries the registry its cell records into, merged
+	// below in spec order.
 	type cellSpec struct {
 		rateIdx, polIdx, algIdx int
+		reg                     *obs.Registry
 	}
 	var specs []cellSpec
 	for ri := range rates {
 		for pi := range policies {
 			for ai := range scheds {
-				specs = append(specs, cellSpec{ri, pi, ai})
+				specs = append(specs, cellSpec{ri, pi, ai, obs.NewRegistry()})
 			}
 		}
 	}
-	cells := make([]SweepCell, len(specs))
-	regs := make([]*obs.Registry, len(specs))
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-
-	var (
-		wg   sync.WaitGroup
-		next atomic.Int64
-		errs = make(chan error, workers)
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(specs) {
-					return
-				}
-				sp := specs[i]
-				rate := rates[sp.rateIdx]
-				policy := policies[sp.polIdx]
-				sched := scheds[sp.algIdx]
-				// One seed per cell coordinate: stable under sweep-order
-				// and worker-count changes.
-				seed := cfg.Seed*1000003 + int64(sp.rateIdx)*8191 + int64(sp.polIdx)*521 + int64(sp.algIdx)*131 + 7
-				gen := workload.NewUniform(segmentSpace, seed+1)
-				arrivals, err := PoissonStream(rate/3600, n, seed, gen)
-				if err != nil {
-					reportErr(errs, fmt.Errorf("server: sweep arrivals %g/h: %w", rate, err))
-					return
-				}
-				faults := cfg.Faults
-				if faults.Enabled() {
-					faults.Seed = seed + 3
-				}
-				reg := obs.NewRegistry()
-				run := Run
-				if cfg.Analytical {
-					run = AnalyticalRun
-				}
-				res, err := run(Config{
-					Serial:    cfg.Serial,
-					Scheduler: sched,
-					Policy:    policy,
-					WindowSec: cfg.WindowSec,
-					QueueCap:  cfg.QueueCap,
-					MaxBatch:  cfg.MaxBatch,
-					ReadLen:   cfg.ReadLen,
-					Retry:     cfg.Retry,
-					Faults:    faults,
-					Reg:       reg,
-					Spans:     cfg.Spans,
-					Labels: []obs.Label{
-						obs.L("rate", fmt.Sprintf("%g", rate)),
-						obs.L("policy", policy.String()),
-						obs.L("alg", sched.Name()),
-					},
-				}, arrivals)
-				if err != nil {
-					reportErr(errs, fmt.Errorf("server: sweep cell %g/h %s %s: %w", rate, policy, sched.Name(), err))
-					return
-				}
-				cells[i] = SweepCell{RatePerHour: rate, Policy: policy, Alg: sched.Name(), Result: res}
-				regs[i] = reg
-			}
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
+	cells, err := sim.Cells(specs, cfg.Workers, func(sp cellSpec) (SweepCell, error) {
+		rate := rates[sp.rateIdx]
+		policy := policies[sp.polIdx]
+		sched := scheds[sp.algIdx]
+		// One seed per cell coordinate: stable under sweep-order
+		// and worker-count changes.
+		seed := cfg.Seed*1000003 + int64(sp.rateIdx)*8191 + int64(sp.polIdx)*521 + int64(sp.algIdx)*131 + 7
+		gen := workload.NewUniform(segmentSpace, seed+1)
+		arrivals, err := PoissonStream(rate/3600, n, seed, gen)
+		if err != nil {
+			return SweepCell{}, fmt.Errorf("server: sweep arrivals %g/h: %w", rate, err)
+		}
+		faults := cfg.Faults
+		if faults.Enabled() {
+			faults.Seed = seed + 3
+		}
+		res, err := Run(Config{
+			Serial:    cfg.Serial,
+			Scheduler: sched,
+			Policy:    policy,
+			WindowSec: cfg.WindowSec,
+			QueueCap:  cfg.QueueCap,
+			MaxBatch:  cfg.MaxBatch,
+			ReadLen:   cfg.ReadLen,
+			Retry:     cfg.Retry,
+			Faults:    faults,
+			Reg:       sp.reg,
+			Spans:     cfg.Spans,
+			Labels: []obs.Label{
+				obs.L("rate", fmt.Sprintf("%g", rate)),
+				obs.L("policy", policy.String()),
+				obs.L("alg", sched.Name()),
+			},
+		}, arrivals)
+		if err != nil {
+			return SweepCell{}, fmt.Errorf("server: sweep cell %g/h %s %s: %w", rate, policy, sched.Name(), err)
+		}
+		return SweepCell{RatePerHour: rate, Policy: policy, Alg: sched.Name(), Result: res}, nil
+	})
+	if err != nil {
 		return nil, err
-	default:
 	}
 	if cfg.Reg != nil {
 		// Merge in spec order so the aggregated dump is independent
 		// of which worker ran which cell.
-		for _, r := range regs {
-			cfg.Reg.Merge(r)
+		for _, sp := range specs {
+			cfg.Reg.Merge(sp.reg)
 		}
 	}
 	return cells, nil
@@ -212,13 +174,6 @@ func Sweep(cfg SweepConfig) ([]SweepCell, error) {
 // constant, and Run re-validates every segment against the real
 // model.
 const segmentSpace = 622058
-
-func reportErr(errs chan<- error, err error) {
-	select {
-	case errs <- err:
-	default:
-	}
-}
 
 // WriteOnline prints the sweep: one block per arrival rate, one row
 // per (policy, scheduler), with sojourn-time percentiles, mean

@@ -3,8 +3,6 @@ package sim
 import (
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 
 	"serpentine/internal/core"
 	"serpentine/internal/drive"
@@ -66,6 +64,12 @@ type ChaosCell struct {
 // only on the config and the cell's coordinates — so the sweep's
 // output is identical at any worker count.
 func ChaosSweep(cfg ChaosConfig) ([]ChaosCell, error) {
+	if err := CheckSizes("sim: chaos", map[string]int{
+		"BatchSize": cfg.BatchSize, "Batches": cfg.Batches, "Warmup": cfg.Warmup,
+		"ReadLen": cfg.ReadLen, "Workers": cfg.Workers,
+	}); err != nil {
+		return nil, err
+	}
 	serial := cfg.Serial
 	if serial == 0 {
 		serial = 1
@@ -83,15 +87,15 @@ func ChaosSweep(cfg ChaosConfig) ([]ChaosCell, error) {
 		base = fault.Default(0)
 	}
 	batch := cfg.BatchSize
-	if batch <= 0 {
+	if batch == 0 {
 		batch = 96
 	}
 	batches := cfg.Batches
-	if batches <= 0 {
+	if batches == 0 {
 		batches = 12
 	}
 	warmup := cfg.Warmup
-	if warmup <= 0 {
+	if warmup == 0 {
 		warmup = 2
 	}
 
@@ -118,59 +122,30 @@ func ChaosSweep(cfg ChaosConfig) ([]ChaosCell, error) {
 			specs = append(specs, cellSpec{sched: s, algIdx: si, rateIdx: ri})
 		}
 	}
-	cells := make([]ChaosCell, len(specs))
-	workers := (&Config{Workers: cfg.Workers}).effectiveWorkers()
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-
-	var (
-		wg   sync.WaitGroup
-		next atomic.Int64
-		errs = make(chan error, workers)
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(specs) {
-					return
-				}
-				sp := specs[i]
-				faults := base.Scale(rates[sp.rateIdx])
-				// One injector seed per cell coordinate: stable under
-				// sweep-order and worker-count changes.
-				faults.Seed = cfg.Seed*1000003 + int64(sp.algIdx)*8191 + int64(sp.rateIdx)*131 + 7
-				res, err := BatchChain(ChainConfig{
-					Model:     model,
-					Scheduler: sp.sched,
-					BatchSize: batch,
-					Batches:   batches,
-					Warmup:    warmup,
-					ReadLen:   cfg.ReadLen,
-					Seed:      cfg.Seed,
-					Drive:     drive.New(tape),
-					Faults:    faults,
-					Policy:    cfg.Policy,
-				})
-				if err != nil {
-					select {
-					case errs <- fmt.Errorf("sim: chaos %s rate %g: %w", sp.sched.Name(), rates[sp.rateIdx], err):
-					default:
-					}
-					return
-				}
-				cells[i] = ChaosCell{Alg: sp.sched.Name(), Rate: rates[sp.rateIdx], Result: res}
-			}
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
+	cells, err := Cells(specs, cfg.Workers, func(sp cellSpec) (ChaosCell, error) {
+		faults := base.Scale(rates[sp.rateIdx])
+		// One injector seed per cell coordinate: stable under
+		// sweep-order and worker-count changes.
+		faults.Seed = cfg.Seed*1000003 + int64(sp.algIdx)*8191 + int64(sp.rateIdx)*131 + 7
+		res, err := BatchChain(ChainConfig{
+			Model:     model,
+			Scheduler: sp.sched,
+			BatchSize: batch,
+			Batches:   batches,
+			Warmup:    warmup,
+			ReadLen:   cfg.ReadLen,
+			Seed:      cfg.Seed,
+			Drive:     drive.New(tape),
+			Faults:    faults,
+			Policy:    cfg.Policy,
+		})
+		if err != nil {
+			return ChaosCell{}, fmt.Errorf("sim: chaos %s rate %g: %w", sp.sched.Name(), rates[sp.rateIdx], err)
+		}
+		return ChaosCell{Alg: sp.sched.Name(), Rate: rates[sp.rateIdx], Result: res}, nil
+	})
+	if err != nil {
 		return nil, err
-	default:
 	}
 	if cfg.Reg != nil {
 		// Record in spec order so the dump is independent of which

@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"serpentine/internal/fault"
 	"serpentine/internal/geometry"
+	"serpentine/internal/sim"
 )
 
 // OutageConfig describes the availability experiment: one synthetic
@@ -86,16 +84,22 @@ type OutageCell struct {
 // each is fully deterministic, so the sweep's output is identical at
 // any worker count.
 func OutageSweep(cfg OutageConfig) ([]OutageCell, error) {
+	if err := sim.CheckSizes("tertiary: outage", map[string]int{
+		"TapeCount": cfg.TapeCount, "Objects": cfg.Objects, "ObjectSegments": cfg.ObjectSegments,
+		"Drives": cfg.Drives, "BatchLimit": cfg.BatchLimit, "Requests": cfg.Requests, "Workers": cfg.Workers,
+	}); err != nil {
+		return nil, err
+	}
 	tapeCount := cfg.TapeCount
-	if tapeCount <= 0 {
+	if tapeCount == 0 {
 		tapeCount = 4
 	}
 	objects := cfg.Objects
-	if objects <= 0 {
+	if objects == 0 {
 		objects = 64
 	}
 	objSegs := cfg.ObjectSegments
-	if objSegs <= 0 {
+	if objSegs == 0 {
 		objSegs = 32
 	}
 	mttfs := cfg.MTTFsSec
@@ -110,12 +114,15 @@ func OutageSweep(cfg OutageConfig) ([]OutageCell, error) {
 	if replicas == nil {
 		replicas = []int{1, 2}
 	}
+	if cfg.RatePerHour < 0 || math.IsNaN(cfg.RatePerHour) || math.IsInf(cfg.RatePerHour, 0) {
+		return nil, fmt.Errorf("tertiary: outage RatePerHour %g", cfg.RatePerHour)
+	}
 	rate := cfg.RatePerHour
-	if rate <= 0 {
+	if rate == 0 {
 		rate = 120
 	}
 	drives := cfg.Drives
-	if drives <= 0 {
+	if drives == 0 {
 		drives = 2
 	}
 	limit := cfg.BatchLimit
@@ -123,7 +130,7 @@ func OutageSweep(cfg OutageConfig) ([]OutageCell, error) {
 		limit = 16
 	}
 	n := cfg.Requests
-	if n <= 0 {
+	if n == 0 {
 		n = 400
 	}
 	maxR := 0
@@ -217,84 +224,50 @@ func OutageSweep(cfg OutageConfig) ([]OutageCell, error) {
 			}
 		}
 	}
-	cells := make([]OutageCell, len(specs))
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-
-	var (
-		wg   sync.WaitGroup
-		next atomic.Int64
-		errs = make(chan error, workers)
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(specs) {
-					return
-				}
-				sp := specs[i]
-				mttf := mttfs[sp.mttfIdx]
-				mttr := mttrs[sp.mttrIdx]
-				r := replicas[sp.repIdx]
-				// The seed deliberately excludes the replica index:
-				// all R cells at one (MTTF, MTTR) coordinate replay
-				// the same arrivals and the same component-failure
-				// history.
-				seed := cfg.Seed*1000003 + int64(sp.mttfIdx)*8191 + int64(sp.mttrIdx)*521 + 7
-				stream, err := sweepStream(rate, n, seed, tapeCount, objects)
-				if err != nil {
-					reportErr(errs, fmt.Errorf("tertiary: outage arrivals: %w", err))
-					return
-				}
-				lc := fault.LifecycleConfig{
-					DriveMTTFSec:      mttf,
-					RobotStallRate:    cfg.RobotStallRate,
-					CartridgeLossRate: cfg.CartridgeLossRate,
-					BadSpotRate:       cfg.BadSpotRate,
-					Seed:              seed + 5,
-				}
-				if mttf > 0 {
-					lc.DriveMTTRSec = mttr
-				}
-				lib := base.Clone(Config{
-					Profile:     profile,
-					Tapes:       serials,
-					Drives:      drives,
-					BatchLimit:  limit,
-					Lifecycle:   lc,
-					Placement:   placements[r],
-					DeadlineSec: cfg.DeadlineSec,
-				})
-				comps, m, err := lib.Run(stream)
-				if err != nil {
-					reportErr(errs, fmt.Errorf("tertiary: outage cell mttf=%g mttr=%g R=%d: %w", mttf, mttr, r, err))
-					return
-				}
-				cell := OutageCell{
-					MTTFSec: mttf, MTTRSec: mttr, Replicas: r,
-					Metrics: m, Offered: len(stream),
-					Availability: float64(m.Served) / float64(len(stream)),
-				}
-				cell.P50Sec, cell.P99Sec = sojournPercentiles(comps)
-				cells[i] = cell
-			}
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return nil, err
-	default:
-	}
-	return cells, nil
+	return sim.Cells(specs, cfg.Workers, func(sp cellSpec) (OutageCell, error) {
+		mttf := mttfs[sp.mttfIdx]
+		mttr := mttrs[sp.mttrIdx]
+		r := replicas[sp.repIdx]
+		// The seed deliberately excludes the replica index:
+		// all R cells at one (MTTF, MTTR) coordinate replay
+		// the same arrivals and the same component-failure
+		// history.
+		seed := cfg.Seed*1000003 + int64(sp.mttfIdx)*8191 + int64(sp.mttrIdx)*521 + 7
+		stream, err := sweepStream(rate, n, seed, tapeCount, objects)
+		if err != nil {
+			return OutageCell{}, fmt.Errorf("tertiary: outage arrivals: %w", err)
+		}
+		lc := fault.LifecycleConfig{
+			DriveMTTFSec:      mttf,
+			RobotStallRate:    cfg.RobotStallRate,
+			CartridgeLossRate: cfg.CartridgeLossRate,
+			BadSpotRate:       cfg.BadSpotRate,
+			Seed:              seed + 5,
+		}
+		if mttf > 0 {
+			lc.DriveMTTRSec = mttr
+		}
+		lib := base.Clone(Config{
+			Profile:     profile,
+			Tapes:       serials,
+			Drives:      drives,
+			BatchLimit:  limit,
+			Lifecycle:   lc,
+			Placement:   placements[r],
+			DeadlineSec: cfg.DeadlineSec,
+		})
+		comps, m, err := lib.Run(stream)
+		if err != nil {
+			return OutageCell{}, fmt.Errorf("tertiary: outage cell mttf=%g mttr=%g R=%d: %w", mttf, mttr, r, err)
+		}
+		cell := OutageCell{
+			MTTFSec: mttf, MTTRSec: mttr, Replicas: r,
+			Metrics: m, Offered: len(stream),
+			Availability: float64(m.Served) / float64(len(stream)),
+		}
+		cell.P50Sec, cell.P99Sec = sojournPercentiles(comps)
+		return cell, nil
+	})
 }
 
 // sojournPercentiles returns the nearest-rank p50 and p99 of the

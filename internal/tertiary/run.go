@@ -257,9 +257,12 @@ func (l *Library) resolve(i int, r Request) (pending, bool, error) {
 	return pending{req: r, obj: o}, r.Deadline > 0, nil
 }
 
-// newRun resolves and validates the request stream and sets up the
+// newRun validates the config and the request stream and sets up the
 // event-loop state.
 func (l *Library) newRun(requests []Request) (*runState, error) {
+	if err := l.cfg.validate(); err != nil {
+		return nil, err
+	}
 	arrivals := make([]pending, 0, len(requests))
 	hasDeadlines := false
 	for i, r := range requests {

@@ -72,7 +72,7 @@ func TestRunnerMatchesRun(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			lib, stream := buildTwinLibrary(t, 2, 8)
+			lib, stream := buildRunnerLibrary(t, 2, 8)
 			lib = lib.Clone(tc.cfg(lib.Tapes()))
 			wantComps, wantM, err := lib.Run(stream)
 			if err != nil {
@@ -93,7 +93,7 @@ func TestRunnerMatchesRun(t *testing.T) {
 // depth counts an offered request until it dispatches, and a mounted
 // cartridge shows up in both Mounted and MountedSerials.
 func TestRunnerProbes(t *testing.T) {
-	lib, stream := buildTwinLibrary(t, 1, 4)
+	lib, stream := buildRunnerLibrary(t, 1, 4)
 	r, err := lib.StartRun()
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestRunnerProbes(t *testing.T) {
 // TestRunnerErrors pins the misuse surface: offers behind the clock,
 // unknown objects, use after Finish.
 func TestRunnerErrors(t *testing.T) {
-	lib, stream := buildTwinLibrary(t, 1, 4)
+	lib, stream := buildRunnerLibrary(t, 1, 4)
 	r, err := lib.StartRun()
 	if err != nil {
 		t.Fatal(err)
@@ -185,4 +185,48 @@ func TestRunnerErrors(t *testing.T) {
 	if _, _, err := r.Finish(); err == nil {
 		t.Error("double Finish accepted")
 	}
+}
+
+// buildRunnerLibrary builds a 4-tape store shaped like the sweep's, and
+// a request stream over it.
+func buildRunnerLibrary(t *testing.T, drives, batchLimit int) (*Library, []Request) {
+	t.Helper()
+	const tapes, objects, objSegs = 4, 256, 32
+	catalog := NewCatalog()
+	serials := make([]int64, tapes)
+	for tp := 0; tp < tapes; tp++ {
+		serials[tp] = int64(4000 + tp)
+	}
+	lib0, err := New(Config{Tapes: serials}, mustSweepCatalog(t, catalog, serials, objects, objSegs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := lib0.Clone(Config{
+		Tapes:      serials,
+		Drives:     drives,
+		BatchLimit: batchLimit,
+		Scheduler:  core.NewLOSS(),
+	})
+	stream, err := sweepStream(240, 200, 424242, tapes, objects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lib, stream
+}
+
+func mustSweepCatalog(t *testing.T, catalog *Catalog, serials []int64, objects, objSegs int) *Catalog {
+	t.Helper()
+	for ti, serial := range serials {
+		for o := 0; o < objects; o++ {
+			if err := catalog.Put(Object{
+				ID:       sweepObjectID(ti, o),
+				Tape:     serial,
+				Start:    o * 2048,
+				Segments: objSegs,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return catalog
 }

@@ -3,10 +3,7 @@ package tertiary
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"serpentine/internal/core"
 	"serpentine/internal/fault"
@@ -77,13 +74,6 @@ type SweepConfig struct {
 	// the Cell. Per-cell capture keeps the spans — like the metrics —
 	// byte-identical at any worker count.
 	SpanCap int
-	// Analytical replaces each cell's event-driven run with the
-	// closed-form twin (Library.Estimate): same admission, batching,
-	// robot and scheduling decisions, model-based costs instead of
-	// drive emulation. Faults, metrics registries and spans are not
-	// produced in this mode; use it for coarse grid scans. See
-	// Estimate for the accuracy envelope.
-	Analytical bool
 }
 
 // Cell is one (rate, drives, batch limit) outcome.
@@ -106,16 +96,22 @@ type Cell struct {
 // config and the cell coordinates — so the sweep's output is
 // identical at any worker count.
 func Sweep(cfg SweepConfig) ([]Cell, error) {
+	if err := sim.CheckSizes("tertiary: sweep", map[string]int{
+		"TapeCount": cfg.TapeCount, "Objects": cfg.Objects, "ObjectSegments": cfg.ObjectSegments,
+		"Requests": cfg.Requests, "QueueCap": cfg.QueueCap, "Workers": cfg.Workers,
+	}); err != nil {
+		return nil, err
+	}
 	tapeCount := cfg.TapeCount
-	if tapeCount <= 0 {
+	if tapeCount == 0 {
 		tapeCount = 4
 	}
 	objects := cfg.Objects
-	if objects <= 0 {
+	if objects == 0 {
 		objects = 512
 	}
 	objSegs := cfg.ObjectSegments
-	if objSegs <= 0 {
+	if objSegs == 0 {
 		objSegs = 32
 	}
 	rates := cfg.RatesPerHour
@@ -131,7 +127,7 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 		limits = []int{1, 16, 0}
 	}
 	n := cfg.Requests
-	if n <= 0 {
+	if n == 0 {
 		n = 400
 	}
 
@@ -147,118 +143,84 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 	}
 	serials := base.Tapes()
 
+	// Each spec carries the registry its cell records into, merged
+	// below in spec order.
 	type cellSpec struct {
 		rateIdx, driveIdx, limitIdx int
+		reg                         *obs.Registry
 	}
 	var specs []cellSpec
 	for ri := range rates {
 		for di := range driveCounts {
 			for bi := range limits {
-				specs = append(specs, cellSpec{ri, di, bi})
+				specs = append(specs, cellSpec{ri, di, bi, obs.NewRegistry()})
 			}
 		}
 	}
-	cells := make([]Cell, len(specs))
-	regs := make([]*obs.Registry, len(specs))
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-
-	var (
-		wg   sync.WaitGroup
-		next atomic.Int64
-		errs = make(chan error, workers)
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(specs) {
-					return
-				}
-				sp := specs[i]
-				rate := rates[sp.rateIdx]
-				drives := driveCounts[sp.driveIdx]
-				limit := limits[sp.limitIdx]
-				// One seed per cell coordinate: stable under
-				// sweep-order and worker-count changes.
-				seed := cfg.Seed*1000003 + int64(sp.rateIdx)*8191 + int64(sp.driveIdx)*521 + int64(sp.limitIdx)*131 + 7
-				stream, err := sweepStream(rate, n, seed, tapeCount, objects)
-				if err != nil {
-					reportErr(errs, fmt.Errorf("tertiary: sweep arrivals %g/h: %w", rate, err))
-					return
-				}
-				faults := cfg.Faults
-				if faults.Enabled() {
-					faults.Seed = seed + 3
-				}
-				lifecycle := cfg.Lifecycle
-				if lifecycle.Enabled() {
-					lifecycle.Seed = seed + 5
-				}
-				reg := obs.NewRegistry()
-				var spans *obs.Tracer
-				if cfg.SpanCap > 0 {
-					spans = obs.NewTracer(cfg.SpanCap)
-				}
-				lib := base.Clone(Config{
-					Profile:    profile,
-					Tapes:      serials,
-					Drives:     drives,
-					MountSec:   cfg.MountSec,
-					UnmountSec: cfg.UnmountSec,
-					BatchLimit: limit,
-					Scheduler:  cfg.Scheduler,
-					Policy:     cfg.Policy,
-					WindowSec:  cfg.WindowSec,
-					QueueCap:   cfg.QueueCap,
-					Retry:      cfg.Retry,
-					Faults:     faults,
-					Lifecycle:  lifecycle,
-					Reg:        reg,
-					Spans:      spans,
-					Labels: []obs.Label{
-						obs.L("rate", fmt.Sprintf("%g", rate)),
-						obs.L("drives", strconv.Itoa(drives)),
-						obs.L("batch", strconv.Itoa(limit)),
-					},
-				})
-				run := lib.Run
-				if cfg.Analytical {
-					run = lib.Estimate
-				}
-				comps, m, err := run(stream)
-				if err != nil {
-					reportErr(errs, fmt.Errorf("tertiary: sweep cell %g/h %dd limit %d: %w", rate, drives, limit, err))
-					return
-				}
-				cell := Cell{RatePerHour: rate, Drives: drives, BatchLimit: limit, Metrics: m}
-				if spans != nil {
-					cell.Spans = spans.Spans()
-					cell.Completions = comps
-				}
-				cells[i] = cell
-				regs[i] = reg
-			}
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
+	cells, err := sim.Cells(specs, cfg.Workers, func(sp cellSpec) (Cell, error) {
+		rate := rates[sp.rateIdx]
+		drives := driveCounts[sp.driveIdx]
+		limit := limits[sp.limitIdx]
+		// One seed per cell coordinate: stable under
+		// sweep-order and worker-count changes.
+		seed := cfg.Seed*1000003 + int64(sp.rateIdx)*8191 + int64(sp.driveIdx)*521 + int64(sp.limitIdx)*131 + 7
+		stream, err := sweepStream(rate, n, seed, tapeCount, objects)
+		if err != nil {
+			return Cell{}, fmt.Errorf("tertiary: sweep arrivals %g/h: %w", rate, err)
+		}
+		faults := cfg.Faults
+		if faults.Enabled() {
+			faults.Seed = seed + 3
+		}
+		lifecycle := cfg.Lifecycle
+		if lifecycle.Enabled() {
+			lifecycle.Seed = seed + 5
+		}
+		var spans *obs.Tracer
+		if cfg.SpanCap > 0 {
+			spans = obs.NewTracer(cfg.SpanCap)
+		}
+		lib := base.Clone(Config{
+			Profile:    profile,
+			Tapes:      serials,
+			Drives:     drives,
+			MountSec:   cfg.MountSec,
+			UnmountSec: cfg.UnmountSec,
+			BatchLimit: limit,
+			Scheduler:  cfg.Scheduler,
+			Policy:     cfg.Policy,
+			WindowSec:  cfg.WindowSec,
+			QueueCap:   cfg.QueueCap,
+			Retry:      cfg.Retry,
+			Faults:     faults,
+			Lifecycle:  lifecycle,
+			Reg:        sp.reg,
+			Spans:      spans,
+			Labels: []obs.Label{
+				obs.L("rate", fmt.Sprintf("%g", rate)),
+				obs.L("drives", strconv.Itoa(drives)),
+				obs.L("batch", strconv.Itoa(limit)),
+			},
+		})
+		comps, m, err := lib.Run(stream)
+		if err != nil {
+			return Cell{}, fmt.Errorf("tertiary: sweep cell %g/h %dd limit %d: %w", rate, drives, limit, err)
+		}
+		cell := Cell{RatePerHour: rate, Drives: drives, BatchLimit: limit, Metrics: m}
+		if spans != nil {
+			cell.Spans = spans.Spans()
+			cell.Completions = comps
+		}
+		return cell, nil
+	})
+	if err != nil {
 		return nil, err
-	default:
 	}
 	if cfg.Reg != nil {
 		// Merge in spec order so the aggregated dump is independent
 		// of which worker ran which cell.
-		for _, r := range regs {
-			cfg.Reg.Merge(r)
+		for _, sp := range specs {
+			cfg.Reg.Merge(sp.reg)
 		}
 	}
 	return cells, nil
@@ -270,7 +232,8 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 // knobs without regenerating the tapes; the fleet uses it to give
 // every cell's shards their own labels and span lanes. The
 // configuration's Profile and Tapes must describe the shared store:
-// they are not revalidated.
+// they are not revalidated. The rest of the configuration is checked
+// when a run starts, so Run and StartRun reject what New would.
 func (l *Library) Clone(cfg Config) *Library {
 	sched := cfg.Scheduler
 	if sched == nil {
@@ -356,13 +319,6 @@ func sweepStream(ratePerHour float64, n int, seed int64, tapeCount, objects int)
 
 func sweepObjectID(tape, obj int) string {
 	return "t" + strconv.Itoa(tape) + "/o" + strconv.Itoa(obj)
-}
-
-func reportErr(errs chan<- error, err error) {
-	select {
-	case errs <- err:
-	default:
-	}
 }
 
 // WriteLibrary prints the sweep: one block per arrival rate, one row

@@ -267,7 +267,7 @@ type Config struct {
 	// permanently lost by failed fetches, and cartridges carry
 	// permanent bad-spot regions. The zero value changes nothing: a
 	// run with all rates zero is bit-identical to one without the
-	// field. The analytical twin (Estimate) ignores lifecycle faults.
+	// field.
 	Lifecycle fault.LifecycleConfig
 	// Placement maps objects to extra replicas on distinct
 	// cartridges; with it, a lost cartridge or permanent media defect
@@ -342,6 +342,30 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
+// validate checks the run-time knobs of a defaulted config. New and
+// every run (Run, StartRun) call it, so a library built by Clone is
+// held to the same rules as one built by New.
+func (cfg Config) validate() error {
+	if cfg.MountSec < 0 || cfg.UnmountSec < 0 ||
+		math.IsNaN(cfg.MountSec) || math.IsNaN(cfg.UnmountSec) ||
+		math.IsInf(cfg.MountSec, 0) || math.IsInf(cfg.UnmountSec, 0) {
+		return fmt.Errorf("tertiary: exchange times %g/%g s", cfg.MountSec, cfg.UnmountSec)
+	}
+	if cfg.WindowSec < 0 || math.IsNaN(cfg.WindowSec) || math.IsInf(cfg.WindowSec, 0) {
+		return fmt.Errorf("tertiary: window of %g seconds", cfg.WindowSec)
+	}
+	if err := cfg.Faults.Validate(); err != nil {
+		return fmt.Errorf("tertiary: faults: %w", err)
+	}
+	if err := cfg.Lifecycle.Validate(); err != nil {
+		return fmt.Errorf("tertiary: lifecycle: %w", err)
+	}
+	if cfg.DeadlineSec < 0 || math.IsNaN(cfg.DeadlineSec) || math.IsInf(cfg.DeadlineSec, 0) {
+		return fmt.Errorf("tertiary: deadline budget of %g seconds", cfg.DeadlineSec)
+	}
+	return nil
+}
+
 // Library is an online tertiary store: a robot, a drive pool, tapes,
 // and a catalog.
 type Library struct {
@@ -363,22 +387,8 @@ func New(cfg Config, catalog *Catalog) (*Library, error) {
 	if catalog == nil || catalog.Len() == 0 {
 		return nil, errors.New("tertiary: library needs a non-empty catalog")
 	}
-	if cfg.MountSec < 0 || cfg.UnmountSec < 0 ||
-		math.IsNaN(cfg.MountSec) || math.IsNaN(cfg.UnmountSec) ||
-		math.IsInf(cfg.MountSec, 0) || math.IsInf(cfg.UnmountSec, 0) {
-		return nil, fmt.Errorf("tertiary: exchange times %g/%g s", cfg.MountSec, cfg.UnmountSec)
-	}
-	if cfg.WindowSec < 0 || math.IsNaN(cfg.WindowSec) || math.IsInf(cfg.WindowSec, 0) {
-		return nil, fmt.Errorf("tertiary: window of %g seconds", cfg.WindowSec)
-	}
-	if err := cfg.Faults.Validate(); err != nil {
-		return nil, fmt.Errorf("tertiary: faults: %w", err)
-	}
-	if err := cfg.Lifecycle.Validate(); err != nil {
-		return nil, fmt.Errorf("tertiary: lifecycle: %w", err)
-	}
-	if cfg.DeadlineSec < 0 || math.IsNaN(cfg.DeadlineSec) || math.IsInf(cfg.DeadlineSec, 0) {
-		return nil, fmt.Errorf("tertiary: deadline budget of %g seconds", cfg.DeadlineSec)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	sched := cfg.Scheduler
 	if sched == nil {
@@ -435,8 +445,7 @@ func (l *Library) Objects() []Object { return l.catalog.All() }
 
 // RefetchSec is the modeled cost of fetching the object from tape
 // again: a locate from the load point to the extent plus the extent's
-// streaming transfer, priced on the tape's own cost model — the same
-// model the analytical twin (Estimate) prices reads with. It is the
+// streaming transfer, priced on the tape's own cost model. It is the
 // cost-aware eviction policy's currency: evicting an object that is
 // cheap to re-fetch risks little, evicting one far down the tape
 // risks a long locate. The mount exchange is deliberately excluded —

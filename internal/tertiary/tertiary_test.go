@@ -2,6 +2,7 @@ package tertiary
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"serpentine/internal/core"
@@ -76,6 +77,36 @@ func TestNewLibraryValidation(t *testing.T) {
 	badExtent.Put(Object{ID: "bad", Tape: 101, Start: 1 << 30})
 	if _, err := New(cfg, badExtent); err == nil {
 		t.Fatal("out-of-range extent accepted")
+	}
+}
+
+// A library built by Clone skips New, so every run re-checks the
+// config: Run and StartRun must reject the rates New would, instead of
+// running a NaN rate as no faults and a rate of 2 as a certain loss.
+func TestCloneRunsRejectInvalidConfig(t *testing.T) {
+	cfg := smallCfg(1)
+	base, err := New(cfg, smallCatalog(t, cfg, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := []Request{{ObjectID: "t101/o0"}, {ObjectID: "t102/o1", Arrival: 5}}
+	for _, c := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"cartridge loss NaN", func(c *Config) { c.Lifecycle.CartridgeLossRate = math.NaN() }},
+		{"cartridge loss 2", func(c *Config) { c.Lifecycle.CartridgeLossRate = 2 }},
+		{"fault rate NaN", func(c *Config) { c.Faults.TransientRate = math.NaN() }},
+	} {
+		bad := cfg
+		c.mutate(&bad)
+		lib := base.Clone(bad)
+		if _, _, err := lib.Run(stream); err == nil {
+			t.Errorf("%s: Run accepted the clone", c.name)
+		}
+		if _, err := lib.StartRun(); err == nil {
+			t.Errorf("%s: StartRun accepted the clone", c.name)
+		}
 	}
 }
 

@@ -6,6 +6,9 @@
 # comparing against the committed files.
 #
 #   results       every table `make results` regenerates
+#   chaos         the fault-rate sweep (results/chaos.txt)
+#   online        the online-server sweep (results/online.txt)
+#   library       the tape-library sweep (results/library.txt)
 #   trace         span evidence (results/trace.json, attribution.txt)
 #   availability  the lifecycle-fault sweep (results/availability.txt)
 #   fleet         the sharded-cluster sweep (results/fleet.txt)
@@ -21,6 +24,24 @@ case "${1:-}" in
 results)
 	make results
 	git diff --exit-code results/
+	;;
+chaos)
+	go run ./cmd/chaos -workers 1 >"$tmp/chaos-1.txt"
+	go run ./cmd/chaos -workers 8 >"$tmp/chaos-8.txt"
+	cmp "$tmp/chaos-1.txt" "$tmp/chaos-8.txt"
+	cmp "$tmp/chaos-1.txt" results/chaos.txt
+	;;
+online)
+	go run ./cmd/serve -workers 1 >"$tmp/online-1.txt"
+	go run ./cmd/serve -workers 8 >"$tmp/online-8.txt"
+	cmp "$tmp/online-1.txt" "$tmp/online-8.txt"
+	cmp "$tmp/online-1.txt" results/online.txt
+	;;
+library)
+	go run ./cmd/library -workers 1 >"$tmp/library-1.txt"
+	go run ./cmd/library -workers 8 >"$tmp/library-8.txt"
+	cmp "$tmp/library-1.txt" "$tmp/library-8.txt"
+	cmp "$tmp/library-1.txt" results/library.txt
 	;;
 trace)
 	go run ./cmd/trace -workers 1 -trace "$tmp/trace-1.json" -attrib "$tmp/attrib-1.txt"
@@ -57,7 +78,7 @@ slo)
 	cmp "$tmp/slo.txt" results/slo.txt
 	;;
 *)
-	echo "usage: $0 {results|trace|availability|fleet|cache|slo}" >&2
+	echo "usage: $0 {results|chaos|online|library|trace|availability|fleet|cache|slo}" >&2
 	exit 2
 	;;
 esac
