@@ -79,10 +79,10 @@ profile:
 		-o results/pprof/tertiary.test ./internal/tertiary
 
 # Short fuzzing passes over the executor's replan path, the server's
-# admission queue, the library batcher, the bounded span store, the
-# wide-event ring, the SLO sliding windows, the staging cache's
-# eviction policies, and the fleet routing tier — the state machines
-# arbitrary inputs can reach. CI runs this on every PR; locally, raise
+# admission queue, the library batcher, the sweeps' store layout, the
+# bounded span store, the wide-event ring, the SLO sliding windows, the
+# staging cache's eviction policies, and the fleet routing tier — the
+# state machines and builders arbitrary inputs can reach. CI runs this on every PR; locally, raise
 # FUZZTIME to dig.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExecutorReplan$$' -fuzztime $(FUZZTIME) ./internal/sim/
@@ -90,6 +90,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLibraryBatcher$$' -fuzztime $(FUZZTIME) ./internal/tertiary/
 	$(GO) test -run '^$$' -fuzz '^FuzzLibraryRescue$$' -fuzztime $(FUZZTIME) ./internal/tertiary/
 	$(GO) test -run '^$$' -fuzz '^FuzzEventHeap$$' -fuzztime $(FUZZTIME) ./internal/tertiary/
+	$(GO) test -run '^$$' -fuzz '^FuzzSweepLayout$$' -fuzztime $(FUZZTIME) ./internal/tertiary/
 	$(GO) test -run '^$$' -fuzz '^FuzzSpanStore$$' -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzWideEventRing$$' -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzSLOWindow$$' -fuzztime $(FUZZTIME) ./internal/obs/

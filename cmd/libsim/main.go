@@ -21,7 +21,6 @@ import (
 	"serpentine/internal/geometry"
 	"serpentine/internal/tertiary"
 	"serpentine/internal/textplot"
-	"serpentine/internal/workload"
 )
 
 func main() {
@@ -41,40 +40,13 @@ func main() {
 	flag.Parse()
 
 	profile := geometry.DLT4000()
-	cfg := tertiary.Config{Profile: profile, Drives: *drives}
-	catalog := tertiary.NewCatalog()
-	for t := 0; t < *tapes; t++ {
-		serial := int64(3000 + t)
-		cfg.Tapes = append(cfg.Tapes, serial)
-		tape, err := geometry.Generate(profile, serial)
-		if err != nil {
-			log.Fatal(err)
-		}
-		stride := tape.Segments() / *objects
-		for o := 0; o < *objects; o++ {
-			if err := catalog.Put(tertiary.Object{
-				ID:       objID(t, o),
-				Tape:     serial,
-				Start:    o * stride,
-				Segments: *objSegs,
-			}); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-
-	arrivals, err := workload.PoissonArrivals(*rate/3600, *requests, *seed)
+	base, err := tertiary.SweepStore(profile, *tapes, *objects, *objSegs, 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	pick := workload.NewZipf(*tapes**objects, *seed+1, 0.8, 1)
-	stream := make([]tertiary.Request, *requests)
-	for i := range stream {
-		flat := pick.Batch(1)[0]
-		stream[i] = tertiary.Request{
-			ObjectID: objID(flat / *objects, flat%*objects),
-			Arrival:  arrivals[i],
-		}
+	stream, err := tertiary.SweepStream(*rate, *requests, *seed, *tapes, *objects, 0)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	var batchLimits []int
@@ -86,20 +58,15 @@ func main() {
 		batchLimits = append(batchLimits, n)
 	}
 
-	// Serve the same stream once per batch limit; each run rebuilds
-	// the library so the runs are independent.
+	// Serve the same stream once per batch limit; each run clones the
+	// shared store with its own limit, so the runs are independent.
 	type point struct {
 		BatchLimit int
 		Metrics    tertiary.Metrics
 	}
 	points := make([]point, 0, len(batchLimits))
 	for _, limit := range batchLimits {
-		c := cfg
-		c.BatchLimit = limit
-		lib, err := tertiary.New(c, catalog)
-		if err != nil {
-			log.Fatal(err)
-		}
+		lib := base.Clone(tertiary.Config{Drives: *drives, BatchLimit: limit})
 		_, m, err := lib.Run(stream)
 		if err != nil {
 			log.Fatal(err)
@@ -149,8 +116,4 @@ func main() {
 		fmt.Fprintf(w, "%10s %12.1f %14.0f %14.0f %8d %10.1f %12.0f\n",
 			label, m.IOsPerHour(), m.MeanLatency, m.MaxLatency, m.Mounts, m.DriveBusySec/3600, m.HeadPasses)
 	}
-}
-
-func objID(tape, obj int) string {
-	return "t" + strconv.Itoa(tape) + "/o" + strconv.Itoa(obj)
 }

@@ -20,6 +20,7 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -33,11 +34,13 @@ import (
 )
 
 // StoreConfig describes the cluster-wide store the fleet is built
-// over. Cartridge t (serial 3000+t, the single-library sweeps'
-// numbering) lives on shard t mod Shards; copy k of object (t, o)
-// lives on cartridge (t+k) mod TapeCount at the same catalog slot,
-// offset k extents in — every copy on a distinct cartridge, and with
-// Replicas > 1 usually on a distinct shard.
+// over: the single-library sweeps' store (tertiary.SweepLayout) with
+// Replicas copies per object. Cartridge t lives on shard t mod Shards;
+// copy k of object (t, o) lives on cartridge (t+k) mod TapeCount, k
+// extents into the object's slot of that cartridge's stride — every
+// copy on a distinct cartridge, and with Replicas > 1 usually on a
+// distinct shard. Only an exact zero selects a field's default; a
+// negative size is an error.
 type StoreConfig struct {
 	// Profile is the drive/cartridge format; zero value selects the
 	// DLT4000.
@@ -72,137 +75,95 @@ type copyGroup struct {
 // Fleet is immutable after New; Run clones per-shard libraries for
 // each run, so one Fleet serves concurrent runs (the sweep's cells).
 type Fleet struct {
-	cfg        StoreConfig
 	bases      []*tertiary.Library
 	placements []*tertiary.Placement
-	tapes      [][]int64
 	dir        map[string][]copyGroup
 }
 
-// New builds the fleet store: generates every cartridge, deals them
-// across shards, builds each shard's catalog and same-shard replica
-// placement, and indexes every object's copies for the routing tier.
+// New builds the fleet store: lays out every copy of every object with
+// tertiary.SweepLayout, deals the cartridges across shards, builds each
+// shard's catalog and same-shard replica placement, and indexes every
+// object's copies for the routing tier.
 func New(cfg StoreConfig) (*Fleet, error) {
-	if cfg.Shards <= 0 {
+	if err := sim.CheckSizes("fleet: store", map[string]int{
+		"Shards": cfg.Shards, "TapeCount": cfg.TapeCount, "Objects": cfg.Objects,
+		"ObjectSegments": cfg.ObjectSegments, "Replicas": cfg.Replicas,
+	}); err != nil {
+		return nil, err
+	}
+	if cfg.Shards == 0 {
 		cfg.Shards = 1
 	}
-	if cfg.TapeCount <= 0 {
+	if cfg.TapeCount == 0 {
 		cfg.TapeCount = 8
 	}
-	if cfg.Objects <= 0 {
+	if cfg.Objects == 0 {
 		cfg.Objects = 256
 	}
-	if cfg.ObjectSegments <= 0 {
+	if cfg.ObjectSegments == 0 {
 		cfg.ObjectSegments = 32
 	}
-	if cfg.Replicas <= 0 {
+	if cfg.Replicas == 0 {
 		cfg.Replicas = 1
-	}
-	if cfg.Profile.Tracks == 0 {
-		cfg.Profile = geometry.DLT4000()
 	}
 	if cfg.Shards > cfg.TapeCount {
 		return nil, fmt.Errorf("fleet: %d shards need at least as many cartridges, have %d", cfg.Shards, cfg.TapeCount)
 	}
-	if cfg.Replicas > cfg.TapeCount {
-		return nil, fmt.Errorf("fleet: replication factor %d exceeds %d cartridges", cfg.Replicas, cfg.TapeCount)
-	}
-
-	// Strides are per cartridge: each generated tape has its own
-	// segment count (serial-seeded manufacturing variation), exactly
-	// as the single-library sweeps lay their stores out. Copy k of an
-	// object sits at slot k inside the holding tape's own stride, so
-	// every copy fits whatever that tape's length turned out to be.
-	strides := make([]int, cfg.TapeCount)
-	for t := 0; t < cfg.TapeCount; t++ {
-		tape, err := geometry.Generate(cfg.Profile, int64(3000+t))
-		if err != nil {
-			return nil, fmt.Errorf("fleet: tape %d: %w", 3000+t, err)
-		}
-		strides[t] = tape.Segments() / cfg.Objects
-		if strides[t] < cfg.Replicas*cfg.ObjectSegments {
-			return nil, fmt.Errorf("fleet: %d objects × %d copies of %d segments overflow tape %d",
-				cfg.Objects, cfg.Replicas, cfg.ObjectSegments, 3000+t)
-		}
+	layout, err := tertiary.SweepLayout(cfg.Profile, cfg.TapeCount, cfg.Objects, cfg.ObjectSegments, cfg.Replicas)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
 
 	f := &Fleet{
-		cfg:        cfg,
 		bases:      make([]*tertiary.Library, cfg.Shards),
 		placements: make([]*tertiary.Placement, cfg.Shards),
-		tapes:      make([][]int64, cfg.Shards),
-		dir:        make(map[string][]copyGroup, cfg.TapeCount*cfg.Objects),
+		dir:        make(map[string][]copyGroup, len(layout)),
 	}
-	serial := func(t int) int64 { return int64(3000 + t) }
+	// Cartridge t — the primary home of layout entries t*Objects
+	// onward — lives on shard t mod Shards.
+	tapes := make([][]int64, cfg.Shards)
+	shardOf := make(map[int64]int, cfg.TapeCount)
 	for t := 0; t < cfg.TapeCount; t++ {
-		s := t % cfg.Shards
-		f.tapes[s] = append(f.tapes[s], serial(t))
+		serial := layout[t*cfg.Objects][0].Tape
+		shardOf[serial] = t % cfg.Shards
+		tapes[t%cfg.Shards] = append(tapes[t%cfg.Shards], serial)
 	}
 
 	catalogs := make([]*tertiary.Catalog, cfg.Shards)
 	for s := range catalogs {
 		catalogs[s] = tertiary.NewCatalog()
 	}
-	for t := 0; t < cfg.TapeCount; t++ {
-		for o := 0; o < cfg.Objects; o++ {
-			id := objectID(t, o)
-			var groups []copyGroup
-			// reps collects, per shard, the same-shard replica extents
-			// behind the shard's catalog copy.
-			var reps map[int][]tertiary.Object
-			for k := 0; k < cfg.Replicas; k++ {
-				tk := (t + k) % cfg.TapeCount
-				sk := tk % cfg.Shards
-				obj := tertiary.Object{
-					ID:       id,
-					Tape:     serial(tk),
-					Start:    o*strides[tk] + k*cfg.ObjectSegments,
-					Segments: cfg.ObjectSegments,
+	for _, copies := range layout {
+		id := copies[0].ID
+		var groups []copyGroup
+		for _, obj := range copies {
+			sk := shardOf[obj.Tape]
+			gi := slices.IndexFunc(groups, func(g copyGroup) bool { return g.shard == sk })
+			if gi < 0 {
+				// First copy on this shard: the shard's catalog entry.
+				groups = append(groups, copyGroup{shard: sk, serials: []int64{obj.Tape}})
+				if err := catalogs[sk].Put(obj); err != nil {
+					return nil, err
 				}
-				gi := -1
-				for j := range groups {
-					if groups[j].shard == sk {
-						gi = j
-						break
-					}
-				}
-				if gi < 0 {
-					// First copy on this shard: the shard's catalog
-					// entry.
-					groups = append(groups, copyGroup{shard: sk, serials: []int64{obj.Tape}})
-					if err := catalogs[sk].Put(obj); err != nil {
-						return nil, err
-					}
-					continue
-				}
-				// A later copy landing on a shard that already has
-				// one: a same-shard replica behind its catalog entry.
-				groups[gi].serials = append(groups[gi].serials, obj.Tape)
-				if reps == nil {
-					reps = make(map[int][]tertiary.Object, 1)
-				}
-				reps[sk] = append(reps[sk], tertiary.Object{
-					Tape: obj.Tape, Start: obj.Start, Segments: obj.Segments,
-				})
+				continue
 			}
-			for _, g := range groups {
-				if rs := reps[g.shard]; len(rs) > 0 {
-					if f.placements[g.shard] == nil {
-						f.placements[g.shard] = tertiary.NewPlacement()
-					}
-					if err := f.placements[g.shard].Put(id, rs...); err != nil {
-						return nil, err
-					}
-				}
+			// A later copy on a shard that already has one: a
+			// same-shard replica behind its catalog entry.
+			groups[gi].serials = append(groups[gi].serials, obj.Tape)
+			if f.placements[sk] == nil {
+				f.placements[sk] = tertiary.NewPlacement()
 			}
-			f.dir[id] = groups
+			if err := f.placements[sk].Put(id, obj); err != nil {
+				return nil, err
+			}
 		}
+		f.dir[id] = groups
 	}
 
 	for s := 0; s < cfg.Shards; s++ {
 		base, err := tertiary.New(tertiary.Config{
 			Profile:   cfg.Profile,
-			Tapes:     f.tapes[s],
+			Tapes:     tapes[s],
 			Placement: f.placements[s],
 		}, catalogs[s])
 		if err != nil {
@@ -215,12 +176,6 @@ func New(cfg StoreConfig) (*Fleet, error) {
 
 // Shards returns the cluster size.
 func (f *Fleet) Shards() int { return len(f.bases) }
-
-// objectID matches the single-library sweeps' naming, so a one-shard
-// fleet's catalog is identical to tertiary.Sweep's.
-func objectID(tape, obj int) string {
-	return "t" + strconv.Itoa(tape) + "/o" + strconv.Itoa(obj)
-}
 
 // RunConfig describes one fleet run: the per-shard serving
 // configuration plus the routing tier's policy and seed. Schedulers
@@ -500,10 +455,10 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 	if router == nil {
 		router = LeastLoaded{}
 	}
-	drives := cfg.Drives
-	if drives <= 0 {
-		drives = 1
+	if cfg.Drives < 0 {
+		return nil, Metrics{}, fmt.Errorf("fleet: Drives %d is negative (0 selects 1)", cfg.Drives)
 	}
+	drives := max(cfg.Drives, 1)
 	for i, r := range stream {
 		if math.IsNaN(r.Arrival) {
 			return nil, Metrics{}, fmt.Errorf("fleet: request %d arrives at NaN", i)
@@ -562,8 +517,6 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 			reg = regs[s]
 		}
 		lib := f.bases[s].Clone(tertiary.Config{
-			Profile:     f.cfg.Profile,
-			Tapes:       f.tapes[s],
 			Drives:      drives,
 			MountSec:    cfg.MountSec,
 			UnmountSec:  cfg.UnmountSec,

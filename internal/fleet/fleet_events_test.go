@@ -9,6 +9,7 @@ import (
 	"serpentine/internal/fault"
 	"serpentine/internal/hsm"
 	"serpentine/internal/obs"
+	"serpentine/internal/tertiary"
 )
 
 // eventsSweepCfg is a small faulted, cached fleet sweep that drives
@@ -42,7 +43,7 @@ func TestFleetEventsTimingNeutral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := Stream(240, 100, 7, 8, 32, 0.25)
+	stream, err := tertiary.SweepStream(240, 100, 7, 8, 32, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestFleetEventFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := Stream(240, 120, 7, 8, 32, 0.25)
+	stream, err := tertiary.SweepStream(240, 120, 7, 8, 32, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestCandidateHealthPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := Stream(240, 150, 7, 8, 32, 0)
+	stream, err := tertiary.SweepStream(240, 150, 7, 8, 32, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +296,7 @@ func TestFleetEventSeqStampsSourceSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := Stream(240, 60, 7, 8, 32, 0)
+	stream, err := tertiary.SweepStream(240, 60, 7, 8, 32, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +332,7 @@ func TestSingleShardEventParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := Stream(240, 60, 7, 4, 16, 0)
+	stream, err := tertiary.SweepStream(240, 60, 7, 4, 16, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,7 +143,7 @@ func TestRoundRobinDeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := Stream(240, 101, 3, 4, 32, 0)
+	stream, err := tertiary.SweepStream(240, 101, 3, 4, 32, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestAffinityBeatsLeastLoadedOnHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := Stream(240, 200, 11, 4, 32, 0.8)
+	stream, err := tertiary.SweepStream(240, 200, 11, 4, 32, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestCrossShardReplicaReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := Stream(240, 300, 5, 4, 32, 0)
+	stream, err := tertiary.SweepStream(240, 300, 5, 4, 32, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestFleetSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := Stream(240, 50, 9, 4, 32, 0)
+	stream, err := tertiary.SweepStream(240, 50, 9, 4, 32, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestFleetRegistryMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := Stream(240, 80, 13, 4, 32, 0)
+	stream, err := tertiary.SweepStream(240, 80, 13, 4, 32, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestFleetRejectsBadShapes(t *testing.T) {
 		!strings.Contains(err.Error(), "replication") {
 		t.Errorf("replicas > tapes accepted: %v", err)
 	}
-	if _, err := Stream(240, 10, 1, 4, 32, 1.5); err == nil {
+	if _, err := tertiary.SweepStream(240, 10, 1, 4, 32, 1.5); err == nil {
 		t.Error("locality 1.5 accepted")
 	}
 }

@@ -55,7 +55,7 @@ func FuzzFleetRouting(f *testing.F) {
 		n := 1 + int(nCode)%60
 		loss := float64(int(lossCode)%30) / 100
 
-		stream, err := Stream(rate, n, seed, 4, 16, locality)
+		stream, err := tertiary.SweepStream(rate, n, seed, 4, 16, locality)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,55 +2,16 @@ package fleet
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 
 	"serpentine/internal/fault"
 	"serpentine/internal/geometry"
 	"serpentine/internal/hsm"
 	"serpentine/internal/obs"
-	"serpentine/internal/rand48"
 	"serpentine/internal/server"
 	"serpentine/internal/sim"
 	"serpentine/internal/tertiary"
-	"serpentine/internal/workload"
 )
-
-// Stream builds one cell's request stream: Poisson arrivals, Zipf
-// object popularity, and a mount-locality knob — with probability
-// locality a request re-targets the previous request's cartridge
-// (keeping its Zipf-drawn object ordinal), modeling runs of requests
-// against the working set already mounted. At locality 0 the
-// re-target coin is never drawn and the stream is byte-identical to
-// the single-library sweeps' for the same seed and store shape, which
-// is what lets a one-shard fleet cell reproduce a tertiary.Sweep cell
-// exactly.
-func Stream(ratePerHour float64, n int, seed int64, tapeCount, objects int, locality float64) ([]tertiary.Request, error) {
-	if locality < 0 || locality >= 1 || math.IsNaN(locality) {
-		return nil, fmt.Errorf("fleet: locality %g outside [0,1)", locality)
-	}
-	arrivals, err := workload.PoissonArrivals(ratePerHour/3600, n, seed)
-	if err != nil {
-		return nil, err
-	}
-	pick := workload.NewZipf(tapeCount*objects, seed+1, 0.8, 1)
-	var coin *rand48.Source
-	if locality > 0 {
-		coin = rand48.New(seed + 2)
-	}
-	prevTape := -1
-	stream := make([]tertiary.Request, n)
-	for i := range stream {
-		flat := pick.Batch(1)[0]
-		tape, obj := flat/objects, flat%objects
-		if coin != nil && prevTape >= 0 && coin.Drand48() < locality {
-			tape = prevTape
-		}
-		prevTape = tape
-		stream[i] = tertiary.Request{ObjectID: objectID(tape, obj), Arrival: arrivals[i]}
-	}
-	return stream, nil
-}
 
 // SweepConfig describes the fleet experiment: one cluster-wide store
 // served at every (arrival rate, shard count, routing policy) cell.
@@ -93,7 +54,7 @@ type SweepConfig struct {
 	QueueCap    int
 	Retry       sim.RetryPolicy
 	DeadlineSec float64
-	// Locality is the stream's mount-locality knob (see Stream).
+	// Locality is the mount-locality knob of tertiary.SweepStream.
 	Locality float64
 	// Lifecycle arms component lifecycle faults on every shard; its
 	// Seed is ignored — each cell derives one from Seed and the cell
@@ -241,7 +202,7 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 		// stream, tie-break draws and failure history, so the
 		// router column isolates what the policy buys.
 		seed := cfg.Seed*1000003 + int64(sp.rateIdx)*8191 + int64(sp.shardIdx)*521 + 7
-		stream, err := Stream(rate, n, seed, tapeCount, objects, cfg.Locality)
+		stream, err := tertiary.SweepStream(rate, n, seed, tapeCount, objects, cfg.Locality)
 		if err != nil {
 			return Cell{}, fmt.Errorf("fleet: sweep arrivals %g/h: %w", rate, err)
 		}

@@ -148,15 +148,10 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 	if n == 0 {
 		n = 400
 	}
-	profile := cfg.Profile
-	if profile.Tracks == 0 {
-		profile = geometry.DLT4000()
-	}
-	base, err := tertiary.SweepStore(profile, tapeCount, objects, objSegs, cfg.MountSec, cfg.UnmountSec)
+	base, err := tertiary.SweepStore(cfg.Profile, tapeCount, objects, objSegs, cfg.MountSec, cfg.UnmountSec)
 	if err != nil {
 		return nil, err
 	}
-	serials := base.Tapes()
 
 	// The size-0 baseline is policy-independent: one spec per rate,
 	// not one per policy. Each spec carries the registry its cell
@@ -187,7 +182,7 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 		// the size-0 cells share streams with the bare library
 		// sweep.
 		seed := cfg.Seed*1000003 + int64(sp.rateIdx)*8191 + 7
-		stream, err := tertiary.SweepStream(rate, n, seed, tapeCount, objects)
+		stream, err := tertiary.SweepStream(rate, n, seed, tapeCount, objects, 0)
 		if err != nil {
 			return Cell{}, fmt.Errorf("hsm: sweep arrivals %g/h: %w", rate, err)
 		}
@@ -206,8 +201,6 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 				obs.L("policy", sp.policy))
 		}
 		lib := base.Clone(tertiary.Config{
-			Profile:    profile,
-			Tapes:      serials,
 			Drives:     drives,
 			MountSec:   cfg.MountSec,
 			UnmountSec: cfg.UnmountSec,

@@ -33,7 +33,7 @@ func cloneFor(base *tertiary.Library, cfg tertiary.Config) *tertiary.Library {
 // metric dump, same spans as the bare library over the same stream.
 func TestZeroCacheTierEquivalence(t *testing.T) {
 	base := testStore(t)
-	stream, err := tertiary.SweepStream(120, 200, 42, 4, 128)
+	stream, err := tertiary.SweepStream(120, 200, 42, 4, 128, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

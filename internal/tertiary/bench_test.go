@@ -53,7 +53,7 @@ func buildBenchCell(b *testing.B, drives, batchLimit, requests int) benchCell {
 	if err != nil {
 		b.Fatal(err)
 	}
-	stream, err := sweepStream(240, requests, 12345, tapeCount, objects)
+	stream, err := SweepStream(240, requests, 12345, tapeCount, objects, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -37,8 +37,11 @@ type OutageConfig struct {
 	MTTRsSec []float64
 	// Replicas are the replication factors to sweep; nil selects
 	// {1, 2}. Factor R places R-1 extra copies of every object on the
-	// R-1 cartridges following its primary's, so R must not exceed
-	// TapeCount, and the catalog stride must fit R copies.
+	// R-1 cartridges following its primary's (SweepLayout): copy k
+	// sits k extents into the object's slot of the holding tape's own
+	// stride, that tape's segment count over Objects. So R must not
+	// exceed TapeCount, and every tape's stride must fit the largest
+	// factor's copies.
 	Replicas []int
 	// CartridgeLossRate, BadSpotRate and RobotStallRate arm the
 	// non-drive lifecycle classes in every cell.
@@ -133,55 +136,25 @@ func OutageSweep(cfg OutageConfig) ([]OutageCell, error) {
 	if n == 0 {
 		n = 400
 	}
-	maxR := 0
+	maxR := 1
 	for _, r := range replicas {
 		if r < 1 {
 			return nil, fmt.Errorf("tertiary: outage replication factor %d < 1", r)
 		}
-		if r > tapeCount {
-			return nil, fmt.Errorf("tertiary: replication factor %d exceeds %d cartridges", r, tapeCount)
-		}
-		if r > maxR {
-			maxR = r
-		}
+		maxR = max(maxR, r)
 	}
 
-	// Build the store once. Replica r of object (t, o) lives on tape
-	// (t+r) mod T at the same stride slot, offset r extents in — so
-	// every copy of an object occupies a distinct cartridge and no two
-	// objects' copies collide.
-	profile := cfg.Profile
-	if profile.Tracks == 0 {
-		profile = geometry.DLT4000()
-	}
-	catalog := NewCatalog()
-	serials := make([]int64, tapeCount)
-	for t := 0; t < tapeCount; t++ {
-		serial := int64(3000 + t)
-		serials[t] = serial
-		tape, err := geometry.Generate(profile, serial)
-		if err != nil {
-			return nil, fmt.Errorf("tertiary: outage tape %d: %w", serial, err)
-		}
-		stride := tape.Segments() / objects
-		if stride < maxR*objSegs {
-			return nil, fmt.Errorf("tertiary: outage: %d objects × %d copies of %d segments overflow tape %d",
-				objects, maxR, objSegs, serial)
-		}
-		for o := 0; o < objects; o++ {
-			if err := catalog.Put(Object{
-				ID:       sweepObjectID(t, o),
-				Tape:     serial,
-				Start:    o * stride,
-				Segments: objSegs,
-			}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	base, err := New(Config{Profile: profile, Tapes: serials}, catalog)
+	// Build the store once, from one layout at the largest factor:
+	// the base catalog holds every object's primary copy, and factor
+	// R's placement the next R-1 copies (SweepLayout: each on its own
+	// cartridge, inside the holding tape's stride slot).
+	layout, err := SweepLayout(cfg.Profile, tapeCount, objects, objSegs, maxR)
 	if err != nil {
-		return nil, fmt.Errorf("tertiary: outage store: %w", err)
+		return nil, fmt.Errorf("tertiary: outage: %w", err)
+	}
+	base, err := layoutLibrary(cfg.Profile, layout, 0, 0)
+	if err != nil {
+		return nil, err
 	}
 	// One placement per distinct replication factor, validated against
 	// the shared store.
@@ -191,20 +164,9 @@ func OutageSweep(cfg OutageConfig) ([]OutageCell, error) {
 			continue
 		}
 		pl := NewPlacement()
-		for t := 0; t < tapeCount; t++ {
-			stride := base.tapes[serials[t]].Segments() / objects
-			for o := 0; o < objects; o++ {
-				reps := make([]Object, r-1)
-				for k := 1; k < r; k++ {
-					reps[k-1] = Object{
-						Tape:     serials[(t+k)%tapeCount],
-						Start:    o*stride + k*objSegs,
-						Segments: objSegs,
-					}
-				}
-				if err := pl.Put(sweepObjectID(t, o), reps...); err != nil {
-					return nil, err
-				}
+		for _, copies := range layout {
+			if err := pl.Put(copies[0].ID, copies[1:r]...); err != nil {
+				return nil, err
 			}
 		}
 		if err := pl.validate(base); err != nil {
@@ -233,7 +195,7 @@ func OutageSweep(cfg OutageConfig) ([]OutageCell, error) {
 		// the same arrivals and the same component-failure
 		// history.
 		seed := cfg.Seed*1000003 + int64(sp.mttfIdx)*8191 + int64(sp.mttrIdx)*521 + 7
-		stream, err := sweepStream(rate, n, seed, tapeCount, objects)
+		stream, err := SweepStream(rate, n, seed, tapeCount, objects, 0)
 		if err != nil {
 			return OutageCell{}, fmt.Errorf("tertiary: outage arrivals: %w", err)
 		}
@@ -248,8 +210,6 @@ func OutageSweep(cfg OutageConfig) ([]OutageCell, error) {
 			lc.DriveMTTRSec = mttr
 		}
 		lib := base.Clone(Config{
-			Profile:     profile,
-			Tapes:       serials,
 			Drives:      drives,
 			BatchLimit:  limit,
 			Lifecycle:   lc,

@@ -276,10 +276,8 @@ func (l *Library) newRun(requests []Request) (*runState, error) {
 	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].req.Arrival < arrivals[j].req.Arrival })
 
 	queueCap := l.cfg.QueueCap
-	admCap := queueCap
-	if queueCap <= 0 {
+	if queueCap == 0 {
 		queueCap = math.MaxInt / 2
-		admCap = math.MaxInt / 2
 	}
 	reg := l.cfg.Reg
 	if reg == nil {
@@ -290,7 +288,7 @@ func (l *Library) newRun(requests []Request) (*runState, error) {
 		cfg:      l.cfg,
 		arrivals: arrivals,
 		queueCap: queueCap,
-		adm:      server.NewAdmissionQueue(admCap),
+		adm:      server.NewAdmissionQueue(queueCap),
 		q:        newBatchQueue(),
 		drives:   make([]driveState, l.cfg.Drives),
 		loadedBy: make(map[int64]int, l.cfg.Drives),

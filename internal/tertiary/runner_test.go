@@ -207,7 +207,7 @@ func buildRunnerLibrary(t *testing.T, drives, batchLimit int) (*Library, []Reque
 		BatchLimit: batchLimit,
 		Scheduler:  core.NewLOSS(),
 	})
-	stream, err := sweepStream(240, 200, 424242, tapes, objects)
+	stream, err := SweepStream(240, 200, 424242, tapes, objects, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,12 +3,14 @@ package tertiary
 import (
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"serpentine/internal/core"
 	"serpentine/internal/fault"
 	"serpentine/internal/geometry"
 	"serpentine/internal/obs"
+	"serpentine/internal/rand48"
 	"serpentine/internal/server"
 	"serpentine/internal/sim"
 	"serpentine/internal/workload"
@@ -133,15 +135,10 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 
 	// Build the store once: the base library owns the tapes, locate
 	// models and catalog every cell shares read-only.
-	profile := cfg.Profile
-	if profile.Tracks == 0 {
-		profile = geometry.DLT4000()
-	}
-	base, err := SweepStore(profile, tapeCount, objects, objSegs, cfg.MountSec, cfg.UnmountSec)
+	base, err := SweepStore(cfg.Profile, tapeCount, objects, objSegs, cfg.MountSec, cfg.UnmountSec)
 	if err != nil {
 		return nil, err
 	}
-	serials := base.Tapes()
 
 	// Each spec carries the registry its cell records into, merged
 	// below in spec order.
@@ -164,7 +161,7 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 		// One seed per cell coordinate: stable under
 		// sweep-order and worker-count changes.
 		seed := cfg.Seed*1000003 + int64(sp.rateIdx)*8191 + int64(sp.driveIdx)*521 + int64(sp.limitIdx)*131 + 7
-		stream, err := sweepStream(rate, n, seed, tapeCount, objects)
+		stream, err := SweepStream(rate, n, seed, tapeCount, objects, 0)
 		if err != nil {
 			return Cell{}, fmt.Errorf("tertiary: sweep arrivals %g/h: %w", rate, err)
 		}
@@ -181,8 +178,6 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 			spans = obs.NewTracer(cfg.SpanCap)
 		}
 		lib := base.Clone(Config{
-			Profile:    profile,
-			Tapes:      serials,
 			Drives:     drives,
 			MountSec:   cfg.MountSec,
 			UnmountSec: cfg.UnmountSec,
@@ -230,11 +225,18 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 // tapes, locate models, catalog — under a different configuration.
 // The sweeps use it to give every cell its own registry, tracer and
 // knobs without regenerating the tapes; the fleet uses it to give
-// every cell's shards their own labels and span lanes. The
-// configuration's Profile and Tapes must describe the shared store:
-// they are not revalidated. The rest of the configuration is checked
-// when a run starts, so Run and StartRun reject what New would.
+// every cell's shards their own labels and span lanes. A zero Profile
+// and nil Tapes select the store's own; others must describe the
+// shared store: they are not revalidated. The rest of the
+// configuration is checked when a run starts, so Run and StartRun
+// reject what New would.
 func (l *Library) Clone(cfg Config) *Library {
+	if cfg.Profile.Tracks == 0 {
+		cfg.Profile = l.cfg.Profile
+	}
+	if cfg.Tapes == nil {
+		cfg.Tapes = l.cfg.Tapes
+	}
 	sched := cfg.Scheduler
 	if sched == nil {
 		sched = core.NewAuto()
@@ -248,42 +250,84 @@ func (l *Library) Clone(cfg Config) *Library {
 	}
 }
 
-// SweepStore builds the sweeps' shared synthetic store: tapeCount
-// cartridges (serials 3000+t, matching the sweeps' t<N>/o<M> object
-// naming) each holding `objects` extents of objSegs segments laid out
-// stride-aligned along the tape. The returned base library owns the
-// tapes, locate models and catalog; sweep cells Clone it with their
-// own knobs, registries and tracers. A zero profile selects the
-// DLT4000; mountSec/unmountSec pass through to the base Config (cells
-// normally override them in their Clone anyway). Exported so the
-// staging-tier sweep (hsm) can serve the exact store a library sweep
-// cell serves.
-func SweepStore(profile geometry.Params, tapeCount, objects, objSegs int, mountSec, unmountSec float64) (*Library, error) {
+// SweepLayout lays out the synthetic store every sweep and the fleet
+// serve: tapeCount cartridges with serials 3000+t, each the primary
+// home of `objects` objects of objSegs segments, every object stored
+// as `replicas` copies. Copy k of object (t, o), named t<t>/o<o>, sits
+// on cartridge (t+k) mod tapeCount at segment o*stride + k*objSegs,
+// where stride is the holding cartridge's segment count divided by
+// objects. Cartridges differ in length — each is serial-seeded, as the
+// paper's Figure 9 shows real ones are — so the stride is the holding
+// tape's own: every copy lies inside its tape, the extents on one
+// cartridge are pairwise disjoint, and an object's copies sit on
+// distinct cartridges. The result is indexed by t*objects+o, then by
+// copy. A zero profile selects the DLT4000.
+func SweepLayout(profile geometry.Params, tapeCount, objects, objSegs, replicas int) ([][]Object, error) {
 	if profile.Tracks == 0 {
 		profile = geometry.DLT4000()
 	}
-	catalog := NewCatalog()
+	if tapeCount < 1 || objects < 1 || objSegs < 1 {
+		return nil, fmt.Errorf("tertiary: sweep store of %d tapes × %d objects × %d segments", tapeCount, objects, objSegs)
+	}
+	if replicas < 1 || replicas > tapeCount {
+		return nil, fmt.Errorf("tertiary: replication factor %d outside 1..%d cartridges", replicas, tapeCount)
+	}
 	serials := make([]int64, tapeCount)
-	for t := 0; t < tapeCount; t++ {
-		serial := int64(3000 + t)
-		serials[t] = serial
-		tape, err := geometry.Generate(profile, serial)
+	strides := make([]int, tapeCount)
+	for t := range serials {
+		serials[t] = int64(3000 + t)
+		tape, err := geometry.Generate(profile, serials[t])
 		if err != nil {
-			return nil, fmt.Errorf("tertiary: sweep tape %d: %w", serial, err)
+			return nil, fmt.Errorf("tertiary: sweep tape %d: %w", serials[t], err)
 		}
-		stride := tape.Segments() / objects
-		if stride < objSegs {
-			return nil, fmt.Errorf("tertiary: sweep: %d objects of %d segments overflow tape %d", objects, objSegs, serial)
+		strides[t] = tape.Segments() / objects
+		if strides[t]/replicas < objSegs {
+			return nil, fmt.Errorf("tertiary: sweep: %d objects × %d copies of %d segments overflow tape %d",
+				objects, replicas, objSegs, serials[t])
 		}
-		for o := 0; o < objects; o++ {
-			if err := catalog.Put(Object{
-				ID:       sweepObjectID(t, o),
-				Tape:     serial,
-				Start:    o * stride,
-				Segments: objSegs,
-			}); err != nil {
-				return nil, err
-			}
+	}
+	flat := make([]Object, tapeCount*objects*replicas)
+	layout := make([][]Object, tapeCount*objects)
+	for i := range layout {
+		t, o := i/objects, i%objects
+		copies := flat[i*replicas : (i+1)*replicas : (i+1)*replicas]
+		id := sweepObjectID(t, o)
+		for k := range copies {
+			tk := (t + k) % tapeCount
+			copies[k] = Object{ID: id, Tape: serials[tk], Start: o*strides[tk] + k*objSegs, Segments: objSegs}
+		}
+		layout[i] = copies
+	}
+	return layout, nil
+}
+
+// SweepStore builds the sweeps' shared single-copy store (SweepLayout
+// with one replica). The returned base library owns the tapes, locate
+// models and catalog; sweep cells Clone it with their own knobs,
+// registries and tracers. A zero profile selects the DLT4000;
+// mountSec/unmountSec pass through to the base Config (cells normally
+// override them in their Clone anyway). Exported so the staging-tier
+// sweep (hsm) can serve the exact store a library sweep cell serves.
+func SweepStore(profile geometry.Params, tapeCount, objects, objSegs int, mountSec, unmountSec float64) (*Library, error) {
+	layout, err := SweepLayout(profile, tapeCount, objects, objSegs, 1)
+	if err != nil {
+		return nil, err
+	}
+	return layoutLibrary(profile, layout, mountSec, unmountSec)
+}
+
+// layoutLibrary builds a base library cataloguing the primary copy
+// (copy 0) of every object in a SweepLayout, over the cartridges in
+// layout order.
+func layoutLibrary(profile geometry.Params, layout [][]Object, mountSec, unmountSec float64) (*Library, error) {
+	catalog := NewCatalog()
+	var serials []int64
+	for _, copies := range layout {
+		if n := len(serials); n == 0 || serials[n-1] != copies[0].Tape {
+			serials = append(serials, copies[0].Tape)
+		}
+		if err := catalog.Put(copies[0]); err != nil {
+			return nil, err
 		}
 	}
 	base, err := New(Config{Profile: profile, Tapes: serials, MountSec: mountSec, UnmountSec: unmountSec}, catalog)
@@ -293,26 +337,39 @@ func SweepStore(profile geometry.Params, tapeCount, objects, objSegs int, mountS
 	return base, nil
 }
 
-// SweepStream builds one sweep cell's request stream — Poisson
-// arrivals at ratePerHour, Zipf(0.8)-popular objects over the sweeps'
-// t<N>/o<M> naming — exported so the staging-tier sweep (hsm) can
-// replay the exact stream a library sweep cell serves.
-func SweepStream(ratePerHour float64, n int, seed int64, tapeCount, objects int) ([]Request, error) {
-	return sweepStream(ratePerHour, n, seed, tapeCount, objects)
-}
-
-// sweepStream builds one cell's request stream: Poisson arrivals,
-// Zipf-popular objects.
-func sweepStream(ratePerHour float64, n int, seed int64, tapeCount, objects int) ([]Request, error) {
+// SweepStream builds one sweep cell's request stream over the
+// SweepLayout naming: Poisson arrivals at ratePerHour, Zipf(0.8)
+// object popularity, and a mount-locality knob — with probability
+// locality a request re-targets the previous request's cartridge
+// (keeping its Zipf-drawn object ordinal), modelling runs of requests
+// against the working set already mounted. At locality 0 the
+// re-target coin is never drawn, so the library, availability,
+// staging-tier and fleet sweeps replay the same stream for the same
+// seed and store shape — which is what lets a one-shard fleet cell
+// reproduce a library sweep cell exactly.
+func SweepStream(ratePerHour float64, n int, seed int64, tapeCount, objects int, locality float64) ([]Request, error) {
+	if locality < 0 || locality >= 1 || math.IsNaN(locality) {
+		return nil, fmt.Errorf("tertiary: locality %g outside [0,1)", locality)
+	}
 	arrivals, err := workload.PoissonArrivals(ratePerHour/3600, n, seed)
 	if err != nil {
 		return nil, err
 	}
 	pick := workload.NewZipf(tapeCount*objects, seed+1, 0.8, 1)
+	var coin *rand48.Source
+	if locality > 0 {
+		coin = rand48.New(seed + 2)
+	}
+	prevTape := -1
 	stream := make([]Request, n)
 	for i := range stream {
 		flat := pick.Batch(1)[0]
-		stream[i] = Request{ObjectID: sweepObjectID(flat/objects, flat%objects), Arrival: arrivals[i]}
+		tape, obj := flat/objects, flat%objects
+		if coin != nil && prevTape >= 0 && coin.Drand48() < locality {
+			tape = prevTape
+		}
+		prevTape = tape
+		stream[i] = Request{ObjectID: sweepObjectID(tape, obj), Arrival: arrivals[i]}
 	}
 	return stream, nil
 }

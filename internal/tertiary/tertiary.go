@@ -226,7 +226,8 @@ type Config struct {
 	Profile geometry.Params
 	// Tapes are the cartridge serials in the library.
 	Tapes []int64
-	// Drives is the transport count; 0 selects 1.
+	// Drives is the transport count; 0 selects 1. Drives, BatchLimit
+	// and QueueCap must not be negative.
 	Drives int
 	// MountSec and UnmountSec are the robot exchange times around a
 	// cartridge swap (load+thread, and rewind is charged separately
@@ -327,7 +328,7 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Profile.Tracks == 0 {
 		cfg.Profile = geometry.DLT4000()
 	}
-	if cfg.Drives <= 0 {
+	if cfg.Drives == 0 {
 		cfg.Drives = 1
 	}
 	if cfg.MountSec == 0 {
@@ -346,6 +347,11 @@ func (cfg Config) withDefaults() Config {
 // every run (Run, StartRun) call it, so a library built by Clone is
 // held to the same rules as one built by New.
 func (cfg Config) validate() error {
+	if err := sim.CheckSizes("tertiary", map[string]int{
+		"Drives": cfg.Drives, "BatchLimit": cfg.BatchLimit, "QueueCap": cfg.QueueCap,
+	}); err != nil {
+		return err
+	}
 	if cfg.MountSec < 0 || cfg.UnmountSec < 0 ||
 		math.IsNaN(cfg.MountSec) || math.IsNaN(cfg.UnmountSec) ||
 		math.IsInf(cfg.MountSec, 0) || math.IsInf(cfg.UnmountSec, 0) {
