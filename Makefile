@@ -47,11 +47,13 @@ race:
 	$(GO) test -race ./internal/sim/... ./internal/drive/... ./internal/core/... ./internal/server/... ./internal/obs/... ./internal/tertiary/... ./internal/hsm/... ./internal/fleet/...
 
 # Run the performance-critical benchmarks with allocation reporting:
-# the scheduler suite, the locate-model fast path, and the root-level
-# figure benchmarks that exercise the whole pipeline.
+# the scheduler suite, the locate-model fast path, the staging-tier
+# cell, and the root-level figure benchmarks that exercise the whole
+# pipeline.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkScheduler' -benchmem ./internal/core | tee $(BENCH_TXT)
 	$(GO) test -run '^$$' -bench 'BenchmarkCostMatrix' -benchmem ./internal/locate | tee -a $(BENCH_TXT)
+	$(GO) test -run '^$$' -bench 'BenchmarkTierCell' -benchmem ./internal/hsm | tee -a $(BENCH_TXT)
 	$(GO) test -run '^$$' -bench 'BenchmarkFig4RandomStart|BenchmarkLocateTime' -benchmem . | tee -a $(BENCH_TXT)
 
 # Convert the captured text into committed JSON evidence.

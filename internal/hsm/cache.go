@@ -40,6 +40,9 @@ func (c *Cache) Len() int { return len(c.entries) }
 // Capacity returns the byte bound.
 func (c *Cache) Capacity() int64 { return c.capacity }
 
+// Free returns the bytes still available before the bound.
+func (c *Cache) Free() int64 { return c.capacity - c.resident }
+
 // Contains reports residency without touching recency state — the
 // routing tier's probe.
 func (c *Cache) Contains(id string) bool {

@@ -14,8 +14,8 @@ type Entry struct {
 	// Bytes is the entry's resident size.
 	Bytes int64
 	// Cost is the modeled re-fetch cost in virtual seconds — the
-	// library twin's locate+transfer price for reading the object off
-	// tape again (tertiary.Library.RefetchSec). The cost-aware policy
+	// locate+transfer price tertiary.Library.RefetchSec charges for
+	// reading the object off tape again. The cost-aware policy
 	// evicts the cheapest-to-refetch entry first.
 	Cost float64
 	// Seq is the entry's install sequence number, the deterministic

@@ -6,10 +6,10 @@
 // miss's fetch completes, the extent is installed in the cache, with
 // an optional prefetch of the rest of its coalesced segment run (the
 // paper's T=1410 coalescing threshold reused as the prefetch unit).
-// Eviction is pluggable (LRU, clock, cost-aware on the twin's modeled
-// re-fetch price), write-back is optional, and everything is pure
-// virtual-time bookkeeping: a tier run is a deterministic function of
-// its configuration.
+// Eviction is pluggable (LRU, clock, cost-aware on the re-fetch price
+// tertiary.Library.RefetchSec models), write-back is optional, and
+// everything is pure virtual-time bookkeeping: a tier run is a
+// deterministic function of its configuration.
 //
 // The spine of the package is the disabled case: a Tier with
 // CapacityBytes 0 is a transparent pass-through, creating no cache
@@ -36,10 +36,11 @@ const CacheDriveID = -1
 // DiskModel prices the staging disk's hit path.
 type DiskModel struct {
 	// LatencySec is the fixed per-access overhead (seek plus request
-	// handling); 0 selects 5 ms.
+	// handling); 0 selects 5 ms. Negative, NaN and Inf are errors.
 	LatencySec float64
 	// BytesPerSec is the staging disk's streaming rate; 0 selects
 	// 8 MB/s, a mid-90s RAID stripe to match the DLT4000 era.
+	// Negative, NaN and Inf are errors.
 	BytesPerSec float64
 }
 
@@ -57,7 +58,8 @@ func (d DiskModel) withDefaults() DiskModel {
 type Config struct {
 	// CapacityBytes bounds the cache. 0 disables the tier entirely:
 	// every request passes straight to the library, and the tier's
-	// output is bit-identical to the bare library path.
+	// output is bit-identical to the bare library path. Negative is
+	// an error.
 	CapacityBytes int64
 	// Policy names the eviction policy: "lru" (default), "clock" or
 	// "cost" (see NewPolicy).
@@ -72,12 +74,38 @@ type Config struct {
 	// never evict demand-resident data.
 	Prefetch bool
 	// PrefetchThreshold is the coalescing gap in segments; 0 selects
-	// core.DefaultCoalesceThreshold (the paper's T=1410).
+	// core.DefaultCoalesceThreshold (the paper's T=1410). Negative is
+	// an error.
 	PrefetchThreshold int
 	// WriteBack enables Write: staged writes complete at disk cost,
 	// are marked dirty, and pay their modeled tape-write time when
 	// evicted or at the end-of-run flush.
 	WriteBack bool
+}
+
+// validate rejects a negative capacity or threshold and a disk price
+// that is negative, NaN or infinite. Only an exact 0 selects a
+// default; an invalid config is rejected even when the tier is
+// disabled.
+func (c Config) validate() error {
+	if c.CapacityBytes < 0 {
+		return fmt.Errorf("hsm: CapacityBytes %d is negative", c.CapacityBytes)
+	}
+	if c.PrefetchThreshold < 0 {
+		return fmt.Errorf("hsm: PrefetchThreshold %d is negative", c.PrefetchThreshold)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"LatencySec", c.Disk.LatencySec},
+		{"BytesPerSec", c.Disk.BytesPerSec},
+	} {
+		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("hsm: Disk.%s %v is negative or not finite", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // Enabled reports whether the tier caches at all.
@@ -221,8 +249,8 @@ type Tier struct {
 // span wiring (Library.Config), nesting a "cache" span above the
 // library's run span when tracing is on.
 func NewTier(lib *tertiary.Library, cfg Config) (*Tier, error) {
-	if cfg.CapacityBytes < 0 {
-		return nil, fmt.Errorf("hsm: cache capacity %d bytes", cfg.CapacityBytes)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	t := &Tier{lib: lib, cfg: cfg}
 	if !cfg.Enabled() {
@@ -238,12 +266,8 @@ func NewTier(lib *tertiary.Library, cfg Config) (*Tier, error) {
 		return nil, err
 	}
 	t.disk = cfg.Disk.withDefaults()
-	if t.disk.LatencySec < 0 || t.disk.BytesPerSec <= 0 ||
-		math.IsNaN(t.disk.LatencySec) || math.IsNaN(t.disk.BytesPerSec) {
-		return nil, fmt.Errorf("hsm: disk model %+v", cfg.Disk)
-	}
 	t.thresh = cfg.PrefetchThreshold
-	if t.thresh <= 0 {
+	if t.thresh == 0 {
 		t.thresh = core.DefaultCoalesceThreshold
 	}
 	t.cache = NewCache(cfg.CapacityBytes, pol)
@@ -385,12 +409,17 @@ func (t *Tier) prefetch(o tertiary.Object) {
 		segs = 1
 	}
 	runEnd := o.Start + segs
-	for j := idx + 1; j < len(objs); j++ {
+	// No extent is smaller than one segment, so once free capacity
+	// drops below that nothing further down the run can be installed.
+	for j := idx + 1; j < len(objs) && t.cache.Free() >= t.segBytes; j++ {
 		next := objs[j]
 		if next.Start-runEnd >= t.thresh {
 			return
 		}
-		if t.cache.InstallIfRoom(next.ID, t.objBytes(next), t.lib.RefetchSec(next)) {
+		// Price the re-fetch only for an extent the cache will take: a
+		// resident or oversized one is skipped, and the walk goes on.
+		if b := t.objBytes(next); b <= t.cache.Free() && !t.cache.Contains(next.ID) &&
+			t.cache.InstallIfRoom(next.ID, b, t.lib.RefetchSec(next)) {
 			t.m.PrefetchInstalls++
 			t.prefetchC.Inc()
 		}

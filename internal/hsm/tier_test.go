@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"serpentine/internal/geometry"
@@ -404,5 +405,144 @@ func TestSweepWorkerDeterminism(t *testing.T) {
 	}
 	if !anyHit {
 		t.Error("no cached cell recorded a single hit — the experiment exercises nothing")
+	}
+}
+
+// TestNewTierRejectsInvalidConfig pins reject-don't-reinterpret: only
+// an exact 0 selects a default, and a negative, NaN or infinite value
+// is an error naming its field, whether or not the tier is enabled.
+func TestNewTierRejectsInvalidConfig(t *testing.T) {
+	base := testStore(t)
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name  string
+		cfg   Config
+		field string // "" means the config is valid
+	}{
+		{"defaults", Config{CapacityBytes: 64 << 20, Prefetch: true}, ""},
+		{"explicit", Config{CapacityBytes: 64 << 20, PrefetchThreshold: 1, Disk: DiskModel{LatencySec: 0.01, BytesPerSec: 1 << 20}}, ""},
+		{"negative capacity", Config{CapacityBytes: -1}, "CapacityBytes"},
+		{"negative threshold", Config{CapacityBytes: 64 << 20, Prefetch: true, PrefetchThreshold: -1}, "PrefetchThreshold"},
+		{"negative threshold, disabled", Config{PrefetchThreshold: -1}, "PrefetchThreshold"},
+		{"negative latency", Config{CapacityBytes: 64 << 20, Disk: DiskModel{LatencySec: -0.005}}, "LatencySec"},
+		{"NaN latency", Config{CapacityBytes: 64 << 20, Disk: DiskModel{LatencySec: nan}}, "LatencySec"},
+		{"Inf latency", Config{CapacityBytes: 64 << 20, Disk: DiskModel{LatencySec: inf}}, "LatencySec"},
+		{"negative bandwidth", Config{CapacityBytes: 64 << 20, Disk: DiskModel{BytesPerSec: -1}}, "BytesPerSec"},
+		{"NaN bandwidth", Config{CapacityBytes: 64 << 20, Disk: DiskModel{BytesPerSec: nan}}, "BytesPerSec"},
+		{"Inf bandwidth", Config{CapacityBytes: 64 << 20, Disk: DiskModel{BytesPerSec: inf}}, "BytesPerSec"},
+		{"Inf latency, disabled", Config{Disk: DiskModel{LatencySec: inf}}, "LatencySec"},
+	}
+	for _, c := range cases {
+		_, err := NewTier(cloneFor(base, tertiary.Config{Drives: 1}), c.cfg)
+		switch {
+		case c.field == "" && err != nil:
+			t.Errorf("%s: valid config rejected: %v", c.name, err)
+		case c.field != "" && err == nil:
+			t.Errorf("%s: accepted, want an error naming %s", c.name, c.field)
+		case c.field != "" && !strings.Contains(err.Error(), c.field):
+			t.Errorf("%s: error %q does not name %s", c.name, err, c.field)
+		}
+	}
+}
+
+// walkLibrary builds one cartridge whose catalog exercises the
+// prefetch walk's stopping rule: a one-segment extent "a", then
+// within the threshold a 64-segment extent "big", a 4-segment
+// extent "small" and a one-segment extent "tail".
+func walkLibrary(t *testing.T) *tertiary.Library {
+	t.Helper()
+	catalog := tertiary.NewCatalog()
+	for _, o := range []tertiary.Object{
+		{ID: "a", Tape: 3000, Start: 0, Segments: 1},
+		{ID: "big", Tape: 3000, Start: 10, Segments: 64},
+		{ID: "small", Tape: 3000, Start: 100, Segments: 4},
+		{ID: "tail", Tape: 3000, Start: 120, Segments: 1},
+	} {
+		if err := catalog.Put(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lib, err := tertiary.New(tertiary.Config{
+		Profile: geometry.DLT4000(),
+		Tapes:   []int64{3000},
+		Drives:  1,
+	}, catalog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lib
+}
+
+// TestTierPrefetchSkipsOversizedExtent pins when the prefetch walk
+// stops. An extent too large for the free room is skipped, not a stop:
+// the smaller extents behind it are still prefetched, down to free
+// capacity of exactly one segment. From a full cache the walk installs
+// nothing and the run's hits, misses and evictions equal the same run
+// with prefetch off.
+func TestTierPrefetchSkipsOversizedExtent(t *testing.T) {
+	seg := geometry.DLT4000().SegmentBytes
+	for _, c := range []struct {
+		capSegs  int64
+		resident []string
+		absent   []string
+	}{
+		// One segment for "a" leaves room for "small" only.
+		{5, []string{"a", "small"}, []string{"big", "tail"}},
+		// One more segment leaves exactly one for "tail".
+		{6, []string{"a", "small", "tail"}, []string{"big"}},
+	} {
+		tier, err := NewTier(walkLibrary(t), Config{CapacityBytes: c.capSegs * seg, Prefetch: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, m, err := tier.Run([]tertiary.Request{{ObjectID: "a", Arrival: 0}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Installs != 1 || m.PrefetchInstalls != len(c.resident)-1 || m.Evictions != 0 {
+			t.Errorf("capacity %d segments: installs=%d prefetch=%d evictions=%d, want 1/%d/0",
+				c.capSegs, m.Installs, m.PrefetchInstalls, m.Evictions, len(c.resident)-1)
+		}
+		for _, id := range c.resident {
+			if !tier.Cached(id) {
+				t.Errorf("capacity %d segments: %s not resident", c.capSegs, id)
+			}
+		}
+		for _, id := range c.absent {
+			if tier.Cached(id) {
+				t.Errorf("capacity %d segments: %s resident", c.capSegs, id)
+			}
+		}
+	}
+
+	// A one-segment cache is full after every demand install, so each
+	// fetch return's walk has no room from its first step.
+	stream := []tertiary.Request{
+		{ObjectID: "a", Arrival: 0},
+		{ObjectID: "a", Arrival: 20000},
+		{ObjectID: "tail", Arrival: 40000},
+		{ObjectID: "a", Arrival: 60000},
+		{ObjectID: "a", Arrival: 80000},
+	}
+	run := func(prefetch bool) Metrics {
+		tier, err := NewTier(walkLibrary(t), Config{CapacityBytes: seg, Prefetch: prefetch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, m, err := tier.Run(stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	on, off := run(true), run(false)
+	if on.PrefetchInstalls != 0 {
+		t.Errorf("full cache: %d prefetch installs, want 0", on.PrefetchInstalls)
+	}
+	if on.Hits != 2 || on.Misses != 3 || on.Evictions != 2 {
+		t.Errorf("full cache: hits=%d misses=%d evictions=%d, want 2/3/2", on.Hits, on.Misses, on.Evictions)
+	}
+	if on.Hits != off.Hits || on.Misses != off.Misses || on.Evictions != off.Evictions || on.Installs != off.Installs {
+		t.Errorf("full cache: prefetch on %+v differs from off %+v", on, off)
 	}
 }
