@@ -83,8 +83,9 @@ profile:
 # Short fuzzing passes over the executor's replan path, the server's
 # admission queue, the library batcher, the sweeps' store layout, the
 # bounded span store, the wide-event ring, the SLO sliding windows, the
-# staging cache's eviction policies, and the fleet routing tier — the
-# state machines and builders arbitrary inputs can reach. CI runs this on every PR; locally, raise
+# staging cache's eviction policies, the fleet routing tier, and dense
+# and sparse LOSS against their eager full-sort reference — the state
+# machines and builders arbitrary inputs can reach. CI runs this on every PR; locally, raise
 # FUZZTIME to dig.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExecutorReplan$$' -fuzztime $(FUZZTIME) ./internal/sim/
@@ -98,6 +99,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSLOWindow$$' -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheEviction$$' -fuzztime $(FUZZTIME) ./internal/hsm/
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetRouting$$' -fuzztime $(FUZZTIME) ./internal/fleet/
+	$(GO) test -run '^$$' -fuzz '^FuzzLOSSMatchesFullSort$$' -fuzztime $(FUZZTIME) ./internal/core/
 
 # Static analysis beyond vet, with pinned tool versions. Needs network
 # on first run to fetch the tools (CI caches them).

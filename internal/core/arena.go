@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"slices"
 
 	"serpentine/internal/geometry"
@@ -26,119 +25,6 @@ func grown[T any](s []T, n int) []T {
 
 // sortInts sorts ascending in place without allocating.
 func sortInts(s []int) { slices.Sort(s) }
-
-// idxLess orders candidate indices by weight, breaking exact ties by
-// index so candidate order — and therefore every downstream greedy
-// decision — is fully deterministic and independent of the sorting
-// algorithm.
-func idxLess(a, b int32, key []float64) bool {
-	ka, kb := key[a], key[b]
-	return ka < kb || (ka == kb && a < b)
-}
-
-// sortIdxByKey sorts idx ascending by (key[idx[i]], idx[i]) without
-// allocating: a median-of-three quicksort recursing on the smaller
-// partition, with insertion sort below 16 elements.
-func sortIdxByKey(idx []int32, key []float64) {
-	for len(idx) > 16 {
-		mid, hi := len(idx)/2, len(idx)-1
-		if idxLess(idx[mid], idx[0], key) {
-			idx[mid], idx[0] = idx[0], idx[mid]
-		}
-		if idxLess(idx[hi], idx[0], key) {
-			idx[hi], idx[0] = idx[0], idx[hi]
-		}
-		if idxLess(idx[hi], idx[mid], key) {
-			idx[hi], idx[mid] = idx[mid], idx[hi]
-		}
-		pivot := idx[mid]
-		i, j := 0, hi
-		for i <= j {
-			for idxLess(idx[i], pivot, key) {
-				i++
-			}
-			for idxLess(pivot, idx[j], key) {
-				j--
-			}
-			if i <= j {
-				idx[i], idx[j] = idx[j], idx[i]
-				i++
-				j--
-			}
-		}
-		if j < len(idx)-i {
-			sortIdxByKey(idx[:j+1], key)
-			idx = idx[i:]
-		} else {
-			sortIdxByKey(idx[i:], key)
-			idx = idx[:j+1]
-		}
-	}
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && idxLess(idx[j], idx[j-1], key); j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-}
-
-// kvPair packs one sort record: the IEEE-754 bit pattern of a
-// non-negative float64 key (whose unsigned order equals numeric
-// order) and the candidate index it belongs to.
-type kvPair struct {
-	k uint64
-	i int32
-}
-
-// radixSortIdx sorts idx like sortIdxByKey — ascending by
-// (key[idx[x]], idx[x]) — via a stable byte-wise LSD radix sort over
-// packed records. Stability plus the ascending initial order of idx
-// yields exactly the index tie-break of the comparison sort, and the
-// full 64-bit key keeps the order bit-exact. Requires non-negative
-// keys (locate times always are) and scratch slices of len(idx).
-// Passes whose byte is constant across all records (common: locate
-// times share exponents) are skipped.
-func radixSortIdx(idx []int32, key []float64, pairs, tmp []kvPair) {
-	n := len(idx)
-	var hist [8][256]int32
-	for x, id := range idx {
-		k := math.Float64bits(key[id])
-		pairs[x] = kvPair{k, id}
-		hist[0][k&0xff]++
-		hist[1][k>>8&0xff]++
-		hist[2][k>>16&0xff]++
-		hist[3][k>>24&0xff]++
-		hist[4][k>>32&0xff]++
-		hist[5][k>>40&0xff]++
-		hist[6][k>>48&0xff]++
-		hist[7][k>>56&0xff]++
-	}
-	a, b := pairs, tmp
-	for pass := 0; pass < 8; pass++ {
-		h := &hist[pass]
-		shift := pass * 8
-		// A pass whose byte is identical across all keys moves
-		// nothing; locate times share exponents, so the high bytes
-		// rarely vary and those passes are skipped.
-		if h[a[0].k>>shift&0xff] == int32(n) {
-			continue
-		}
-		sum := int32(0)
-		for d := range h {
-			c := h[d]
-			h[d] = sum
-			sum += c
-		}
-		for _, p := range a {
-			d := p.k >> shift & 0xff
-			b[h[d]] = p
-			h[d]++
-		}
-		a, b = b, a
-	}
-	for x, p := range a {
-		idx[x] = p.i
-	}
-}
 
 // cellIndex is the dense cell -> bucket lookup SCAN and WEAVE share:
 // a slice over all (track, physical section) cells holding the bucket

@@ -126,8 +126,7 @@ func TestLossEngineBuildsOnePath(t *testing.T) {
 		{0, 9, 1, 6, 0},
 	}
 	n := len(w)
-	s := newLossState(n, func(i, j int32) float64 { return w[i][j] })
-	s.denseCandidates()
+	s := denseTestState(w)
 	if got := s.run(n - 1); got != n-1 {
 		t.Fatalf("engine chose %d edges, want %d", got, n-1)
 	}
@@ -145,6 +144,23 @@ func TestLossEngineBuildsOnePath(t *testing.T) {
 	}
 }
 
+// denseTestState builds a dense engine state over the square weight
+// matrix w (w[i][j] is the cost from city i to city j; column 0 and
+// the diagonal are ignored).
+func denseTestState(w [][]float64) *lossState {
+	n := len(w)
+	k := n - 1
+	s := newLossState(n, nil)
+	s.w = make([]float64, n*k)
+	for i := range w {
+		for j := 1; j < n; j++ {
+			s.w[i*k+j-1] = w[i][j]
+		}
+	}
+	s.denseCandidates(make([]int32, 2*n*k))
+	return s
+}
+
 // The loss rule itself: on an instance where greedy nearest-neighbor
 // is provably suboptimal, the loss heuristic should pick the edge
 // that avoids the forced long edge.
@@ -159,8 +175,7 @@ func TestLossRuleAvoidsForcedLongEdge(t *testing.T) {
 		{0, 3, 0},
 	}
 	n := len(w)
-	s := newLossState(n, func(i, j int32) float64 { return w[i][j] })
-	s.denseCandidates()
+	s := denseTestState(w)
 	if got := s.run(n - 1); got != n-1 {
 		t.Fatalf("engine incomplete: %d edges", got)
 	}

@@ -31,13 +31,15 @@ func schedBenchModel(b *testing.B) *locate.Model {
 	return schedBench.model
 }
 
-// BenchmarkScheduler measures one Schedule call per iteration for the
-// four algorithms the tentpole optimizes, at the two acceptance batch
-// sizes. Steady state should be ≤2 allocs/op (the returned Plan.Order
-// plus at most one arena growth on the very first iterations).
+// BenchmarkScheduler measures one Schedule call per iteration for
+// LOSS, SLTF, SCAN and WEAVE, plus Auto, the dispatch path that every
+// library run takes (OPT up to 10 requests, LOSS above), at the two
+// acceptance batch sizes. Steady state should be ≤2 allocs/op (the
+// returned Plan.Order plus at most one arena growth on the very first
+// iterations).
 func BenchmarkScheduler(b *testing.B) {
 	m := schedBenchModel(b)
-	algs := []Scheduler{NewLOSS(), NewSLTF(), Scan{}, Weave{}}
+	algs := []Scheduler{NewLOSS(), NewAuto(), NewSLTF(), Scan{}, Weave{}}
 	for _, alg := range algs {
 		for _, n := range []int{128, 1024} {
 			b.Run(fmt.Sprintf("%s/n=%d", alg.Name(), n), func(b *testing.B) {

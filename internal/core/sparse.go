@@ -222,21 +222,23 @@ func (sl SparseLOSS) densePath(p *Problem, cities []sparseCity) ([]sparseCity, e
 	if n > maxLOSSCities {
 		return nil, fmt.Errorf("core: sparse LOSS dense finish has %d cities (max %d)", n, maxLOSSCities)
 	}
-	w := make([]float64, n*n)
+	// The dense matrix layout of lossState: w[i*k+(j-1)] =
+	// locate(out_i, in_j).
+	w := make([]float64, n*k)
 	for i := 0; i < n; i++ {
 		out := p.Start
 		if i > 0 {
 			out = cities[i-1].out
 		}
 		for j := 1; j < n; j++ {
-			if i == j {
-				continue
+			if i != j {
+				w[i*k+j-1] = p.Cost.LocateTime(out, cities[j-1].in)
 			}
-			w[i*n+j] = p.Cost.LocateTime(out, cities[j-1].in)
 		}
 	}
-	s := newLossState(n, func(i, j int32) float64 { return w[int(i)*n+int(j)] })
-	s.denseCandidates()
+	s := newLossState(n, nil)
+	s.w = w
+	s.denseCandidates(make([]int32, 2*n*k))
 	if got := s.run(k); got != k {
 		return nil, fmt.Errorf("core: sparse LOSS dense finish stuck at %d/%d edges", got, k)
 	}

@@ -19,14 +19,24 @@ type PoissonProcess struct {
 }
 
 // NewPoissonProcess returns a process with the given mean rate
-// (events per second), starting at time zero. It panics on a
-// non-positive rate; use PoissonArrivals for an error-returning
-// construction.
+// (events per second), starting at time zero. It panics on a rate
+// that is not positive and finite; use PoissonArrivals for an
+// error-returning construction.
 func NewPoissonProcess(ratePerSec float64, seed int64) *PoissonProcess {
-	if ratePerSec <= 0 {
-		panic(fmt.Sprintf("workload: Poisson rate must be positive, got %g", ratePerSec))
+	if err := checkRate(ratePerSec); err != nil {
+		panic(err.Error())
 	}
 	return &PoissonProcess{rng: rand48.New(seed), rate: ratePerSec}
+}
+
+// checkRate rejects a rate that is not positive and finite. NaN and
+// +Inf pass a bare "> 0" test in one direction or the other: +Inf
+// would put every arrival at time 0, NaN every arrival at NaN.
+func checkRate(ratePerSec float64) error {
+	if !(ratePerSec > 0) || math.IsInf(ratePerSec, 1) {
+		return fmt.Errorf("workload: Poisson rate %g per second is not positive and finite", ratePerSec)
+	}
+	return nil
 }
 
 // Rate returns the mean event rate per second.
@@ -51,8 +61,8 @@ func (p *PoissonProcess) Next() float64 {
 // time against throughput, and that trade only exists under arrivals
 // spread over time.
 func PoissonArrivals(ratePerSec float64, n int, seed int64) ([]float64, error) {
-	if ratePerSec <= 0 {
-		return nil, fmt.Errorf("workload: Poisson rate must be positive, got %g", ratePerSec)
+	if err := checkRate(ratePerSec); err != nil {
+		return nil, err
 	}
 	if n < 0 {
 		return nil, fmt.Errorf("workload: negative event count %d", n)

@@ -54,8 +54,10 @@ func TestPoissonArrivalsDeterministic(t *testing.T) {
 }
 
 func TestPoissonArrivalsValidation(t *testing.T) {
-	if _, err := PoissonArrivals(0, 5, 1); err == nil {
-		t.Fatal("zero rate accepted")
+	for _, rate := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := PoissonArrivals(rate, 5, 1); err == nil {
+			t.Fatalf("rate %g accepted", rate)
+		}
 	}
 	if _, err := PoissonArrivals(1, -1, 1); err == nil {
 		t.Fatal("negative count accepted")

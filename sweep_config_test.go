@@ -1,9 +1,12 @@
 package serpentine_test
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
+	"serpentine/internal/core"
 	"serpentine/internal/fleet"
 	"serpentine/internal/hsm"
 	"serpentine/internal/server"
@@ -96,6 +99,54 @@ func TestSweepsRejectNegativeSizes(t *testing.T) {
 		err := c.run()
 		if err == nil || !strings.Contains(err.Error(), c.field) {
 			t.Errorf("%s with negative %s: err = %v, want an error naming %s", c.sweep, c.field, err, c.field)
+		}
+	}
+}
+
+// A Poisson rate must be positive and finite. +Inf once ran every
+// cell as one batch arriving at time 0 without an error, and NaN
+// failed only later with "request 0 arrives at NaN". Each sweep must
+// reject both up front with an error naming the rate.
+func TestSweepsRejectNonFiniteRates(t *testing.T) {
+	for _, rate := range []float64{math.NaN(), math.Inf(1)} {
+		rates := []float64{rate}
+		for _, c := range []struct {
+			sweep string
+			run   func() error
+		}{
+			{"tertiary.Sweep", func() error {
+				cfg := tinyLibrarySweep(tertiary.SweepConfig{})
+				cfg.RatesPerHour = rates
+				_, err := tertiary.Sweep(cfg)
+				return err
+			}},
+			{"fleet.Sweep", func() error {
+				_, err := fleet.Sweep(fleet.SweepConfig{
+					TapeCount: 1, Objects: 1, Requests: 1, RatesPerHour: rates,
+					ShardCounts: []int{1}, Routers: []fleet.Router{fleet.RoundRobin{}},
+				})
+				return err
+			}},
+			{"hsm.Sweep", func() error {
+				_, err := hsm.Sweep(hsm.SweepConfig{
+					TapeCount: 1, Objects: 1, Requests: 1, RatesPerHour: rates,
+					CacheBytes: []int64{0},
+				})
+				return err
+			}},
+			{"server.Sweep", func() error {
+				_, err := server.Sweep(server.SweepConfig{
+					Requests: 1, RatesPerHour: rates,
+					Policies: server.AllPolicies()[:1], Schedulers: []core.Scheduler{core.Sort{}},
+				})
+				return err
+			}},
+		} {
+			err := c.run()
+			want := fmt.Sprintf("rate %g", rate)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s with rate %g: err = %v, want an error naming %q", c.sweep, rate, err, want)
+			}
 		}
 	}
 }
