@@ -25,13 +25,13 @@ FUZZTIME ?= 30s
 
 # Tier-1 verify: build, vet, full test suite, and the race detector
 # over the parallel simulator plus the packages it drives concurrently
-# (the drive emulator, the scheduler suite, the online server and its
-# metrics registry, the multi-drive tape library, and the sharded
-# fleet).
+# (the shared cartridge intern and the geometry it holds, the drive
+# emulator, the scheduler suite, the online server and its metrics
+# registry, the multi-drive tape library, and the sharded fleet).
 verify: vet
 	$(GO) build ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/sim/... ./internal/drive/... ./internal/core/... ./internal/server/... ./internal/obs/... ./internal/tertiary/... ./internal/hsm/... ./internal/fleet/...
+	$(GO) test -race ./internal/locate/... ./internal/geometry/... ./internal/sim/... ./internal/drive/... ./internal/core/... ./internal/server/... ./internal/obs/... ./internal/tertiary/... ./internal/hsm/... ./internal/fleet/...
 
 test:
 	$(GO) test ./...
@@ -44,7 +44,7 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 race:
-	$(GO) test -race ./internal/sim/... ./internal/drive/... ./internal/core/... ./internal/server/... ./internal/obs/... ./internal/tertiary/... ./internal/hsm/... ./internal/fleet/...
+	$(GO) test -race ./internal/locate/... ./internal/geometry/... ./internal/sim/... ./internal/drive/... ./internal/core/... ./internal/server/... ./internal/obs/... ./internal/tertiary/... ./internal/hsm/... ./internal/fleet/...
 
 # Run the performance-critical benchmarks with allocation reporting:
 # the scheduler suite, the locate-model fast path, the staging-tier
@@ -123,6 +123,9 @@ cover:
 # deterministic at any worker count, so `git diff results/` after this
 # target must be empty — CI enforces exactly that.
 results:
+	$(GO) run ./cmd/schedbench -start random -divisor 500 > results/fig4.txt
+	$(GO) run ./cmd/schedbench -start bot -divisor 500 > results/fig5.txt
+	$(GO) run ./cmd/schedbench -summary -divisor 500 > results/sec8.txt
 	$(GO) run ./cmd/chaos > results/chaos.txt
 	$(GO) run ./cmd/serve > results/online.txt
 	$(GO) run ./cmd/library > results/library.txt

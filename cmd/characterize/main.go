@@ -17,6 +17,7 @@ import (
 	"serpentine/internal/calibrate"
 	"serpentine/internal/drive"
 	"serpentine/internal/geometry"
+	"serpentine/internal/locate"
 )
 
 func main() {
@@ -31,10 +32,11 @@ func main() {
 	)
 	flag.Parse()
 
-	tape, err := geometry.Generate(geometry.DLT4000(), *serial)
+	cart, err := locate.Load(geometry.DLT4000(), *serial)
 	if err != nil {
 		log.Fatal(err)
 	}
+	tape := cart.Tape()
 	path := *out
 	if path == "" {
 		path = fmt.Sprintf("tape%d.keypoints", *serial)

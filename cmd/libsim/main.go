@@ -16,8 +16,8 @@ import (
 	"log"
 	"os"
 	"strconv"
-	"strings"
 
+	"serpentine/internal/cli"
 	"serpentine/internal/geometry"
 	"serpentine/internal/tertiary"
 	"serpentine/internal/textplot"
@@ -49,13 +49,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var batchLimits []int
-	for _, f := range strings.Split(*limits, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 0 {
-			log.Fatalf("bad batch limit %q", f)
-		}
-		batchLimits = append(batchLimits, n)
+	batchLimits, err := cli.Ints(*limits, 0)
+	if err != nil {
+		log.Fatalf("-limits: %v", err)
 	}
 
 	// Serve the same stream once per batch limit; each run clones the

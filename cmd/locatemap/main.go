@@ -39,14 +39,11 @@ func main() {
 	)
 	flag.Parse()
 
-	tape, err := geometry.Generate(geometry.DLT4000(), *serial)
+	cart, err := locate.Load(geometry.DLT4000(), *serial)
 	if err != nil {
 		log.Fatal(err)
 	}
-	model, err := locate.FromKeyPoints(tape.KeyPoints())
-	if err != nil {
-		log.Fatal(err)
-	}
+	tape, model := cart.Tape(), cart.Model()
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()
 

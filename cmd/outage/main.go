@@ -21,9 +21,8 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
-	"strings"
 
+	"serpentine/internal/cli"
 	"serpentine/internal/tertiary"
 )
 
@@ -64,13 +63,13 @@ func main() {
 		Workers:           *workers,
 	}
 	var err error
-	if cfg.MTTFsSec, err = parseFloats(*mttfList); err != nil {
+	if cfg.MTTFsSec, err = cli.Floats(*mttfList); err != nil {
 		log.Fatalf("-mttf: %v", err)
 	}
-	if cfg.MTTRsSec, err = parseFloats(*mttrList); err != nil {
+	if cfg.MTTRsSec, err = cli.Floats(*mttrList); err != nil {
 		log.Fatalf("-mttr: %v", err)
 	}
-	if cfg.Replicas, err = parseInts(*repList); err != nil {
+	if cfg.Replicas, err = cli.Ints(*repList, 1); err != nil {
 		log.Fatalf("-replicas: %v", err)
 	}
 
@@ -87,34 +86,4 @@ func main() {
 	if err := tertiary.WriteAvailability(w, cells); err != nil {
 		log.Fatal(err)
 	}
-}
-
-func parseFloats(s string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseInts(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

@@ -21,9 +21,9 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
 	"strings"
 
+	"serpentine/internal/cli"
 	"serpentine/internal/core"
 	"serpentine/internal/fault"
 	"serpentine/internal/obs"
@@ -71,7 +71,7 @@ func main() {
 			MediaRate:     *media,
 		},
 	}
-	rates, err := parseRates(*rateList)
+	rates, err := cli.Floats(*rateList)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -151,19 +151,4 @@ func main() {
 		log.Printf("run complete; still serving introspection (^C to exit)")
 		select {}
 	}
-}
-
-func parseRates(s string) ([]float64, error) {
-	var rates []float64
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad rate %q: %v", f, err)
-		}
-		if v <= 0 {
-			return nil, fmt.Errorf("arrival rate must be positive, got %g", v)
-		}
-		rates = append(rates, v)
-	}
-	return rates, nil
 }

@@ -76,16 +76,15 @@ func main() {
 		}
 		kp = loaded
 	}
-	tape, err := geometry.Generate(geometry.DLT4000(), *serial)
+	cart, err := locate.Load(geometry.DLT4000(), *serial)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if kp == nil {
-		kp = tape.KeyPoints()
-	}
-	model, err := locate.FromKeyPoints(kp)
-	if err != nil {
-		log.Fatal(err)
+	tape, model := cart.Tape(), cart.Model()
+	if kp != nil {
+		if model, err = locate.FromKeyPoints(kp); err != nil {
+			log.Fatal(err)
+		}
 	}
 	problem := &core.Problem{Start: *start, Requests: reqs, ReadLen: *readLen, Cost: model}
 	w := bufio.NewWriter(os.Stdout)

@@ -43,18 +43,16 @@ func main() {
 	// model's constants on it, which a zero personality represents.
 	profileA := geometry.DLT4000()
 	profileA.PersonalityFrac = 0
-	tapeA, err := geometry.Generate(profileA, *serialA)
+	cartA, err := locate.Load(profileA, *serialA)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tapeB, err := geometry.Generate(geometry.DLT4000(), *serialB)
+	cartB, err := locate.Load(geometry.DLT4000(), *serialB)
 	if err != nil {
 		log.Fatal(err)
 	}
-	modelA, err := locate.FromKeyPoints(tapeA.KeyPoints())
-	if err != nil {
-		log.Fatal(err)
-	}
+	tapeA, modelA := cartA.Tape(), cartA.Model()
+	tapeB, modelB := cartB.Tape(), cartB.Model()
 
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()
@@ -62,10 +60,6 @@ func main() {
 	switch *fig {
 	case 3:
 		accA, err := sim.LocateAccuracy(drive.New(tapeA), modelA, 3000, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		modelB, err := locate.FromKeyPoints(tapeB.KeyPoints())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -95,10 +89,6 @@ func main() {
 		}
 
 	case 9:
-		modelB, err := locate.FromKeyPoints(tapeB.KeyPoints())
-		if err != nil {
-			log.Fatal(err)
-		}
 		points, err := sim.Validate(sim.ValidationConfig{
 			Drive:  drive.New(tapeA),
 			Model:  modelB, // the wrong tape's characterization

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"serpentine/internal/fault"
 	"serpentine/internal/geometry"
@@ -173,39 +172,19 @@ func WithFaults(inj *fault.Injector) Option {
 	return func(d *Drive) { d.inj = inj }
 }
 
-// truthModels caches the personality-adjusted ground-truth model per
-// cartridge. The model is a pure function of the immutable tape
-// (layout plus hidden personality), costs milliseconds and megabytes
-// to build, and is itself immutable and safe to share — while the
-// event-driven library exchanges cartridges in and out of drives
-// thousands of times per run. The cache is keyed by tape identity and
-// lives for the process, bounded by the number of distinct cartridges
-// an experiment generates.
-var truthModels sync.Map // *geometry.Tape -> *locate.Model
-
-func truthModel(tape *geometry.Tape) *locate.Model {
-	if m, ok := truthModels.Load(tape); ok {
-		return m.(*locate.Model)
-	}
-	nominal := tape.Params()
-	rs, ss, oh := tape.Personality()
-	truthParams := nominal
-	truthParams.ReadSecPerSection *= 1 + rs
-	truthParams.ScanSecPerSection *= 1 + ss
-	truthParams.OverheadSec += oh
-	if truthParams.OverheadSec < 0 {
-		truthParams.OverheadSec = 0
-	}
-	m, _ := truthModels.LoadOrStore(tape, locate.NewModel(tape.View().WithParams(truthParams)))
-	return m.(*locate.Model)
-}
-
 // New loads a cartridge into a fresh drive. The head starts at the
-// beginning of tape (segment 0).
+// beginning of tape (segment 0). The ground-truth model comes from the
+// process-wide cartridge intern (locate.Load): every tape is generated
+// from its (profile, serial), so the drive shares the one truth model
+// built for that pair however many times the cartridge is mounted.
 func New(tape *geometry.Tape, opts ...Option) *Drive {
+	cart, err := locate.Load(tape.Params(), tape.Serial())
+	if err != nil {
+		panic(err) // unreachable: Generate already validated the profile
+	}
 	d := &Drive{
 		tape:    tape,
-		truth:   truthModel(tape),
+		truth:   cart.Truth(),
 		nominal: tape.Params(),
 		rng:     rand48.New(tape.Serial()*7919 + 17),
 		noisy:   true,

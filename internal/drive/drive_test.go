@@ -310,3 +310,18 @@ func TestPersonalityShiftsMeasurements(t *testing.T) {
 		t.Fatalf("personality bias %.4f s/locate suspiciously small", bias/trials)
 	}
 }
+
+// New takes its ground truth from the cartridge intern: a drive over
+// a separately generated tape shares the truth model of its (profile,
+// serial) pair.
+func TestNewUsesInternedTruthModel(t *testing.T) {
+	p := geometry.Tiny()
+	cart, err := locate.Load(p, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := New(geometry.MustGenerate(p, 41))
+	if d.truth != cart.Truth() {
+		t.Fatalf("drive truth model %p, interned %p", d.truth, cart.Truth())
+	}
+}

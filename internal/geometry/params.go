@@ -22,7 +22,10 @@
 // about 13.85 units (13 full sections plus a short section 13).
 package geometry
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Direction is the reading direction of a serpentine track.
 type Direction int8
@@ -202,7 +205,8 @@ func Tiny() Params {
 }
 
 // Validate reports an error describing the first invalid field, or
-// nil if the profile is usable.
+// nil if the profile is usable. Every comparison is written so that a
+// NaN fails it, and the timings must be finite.
 func (p Params) Validate() error {
 	switch {
 	case p.Tracks < 1:
@@ -211,23 +215,29 @@ func (p Params) Validate() error {
 		return fmt.Errorf("geometry: %s: SectionsPerTrack must be >= 2, got %d", p.Name, p.SectionsPerTrack)
 	case p.SegmentsPerSection < 4:
 		return fmt.Errorf("geometry: %s: SegmentsPerSection must be >= 4, got %d", p.Name, p.SegmentsPerSection)
-	case p.LastSectionFrac <= 0 || p.LastSectionFrac > 1:
+	case !(p.LastSectionFrac > 0 && p.LastSectionFrac <= 1):
 		return fmt.Errorf("geometry: %s: LastSectionFrac must be in (0,1], got %g", p.Name, p.LastSectionFrac)
 	case p.SegmentBytes <= 0:
 		return fmt.Errorf("geometry: %s: SegmentBytes must be positive, got %d", p.Name, p.SegmentBytes)
-	case p.ReadSecPerSection <= 0:
-		return fmt.Errorf("geometry: %s: ReadSecPerSection must be positive, got %g", p.Name, p.ReadSecPerSection)
-	case p.ScanSecPerSection <= 0:
+	case !(p.ReadSecPerSection > 0) || math.IsInf(p.ReadSecPerSection, 1):
+		return fmt.Errorf("geometry: %s: ReadSecPerSection must be positive and finite, got %g", p.Name, p.ReadSecPerSection)
+	case !(p.ScanSecPerSection > 0):
 		return fmt.Errorf("geometry: %s: ScanSecPerSection must be positive, got %g", p.Name, p.ScanSecPerSection)
 	case p.ScanSecPerSection > p.ReadSecPerSection:
 		return fmt.Errorf("geometry: %s: scan speed must not be slower than read speed", p.Name)
+	case !(p.TrackSwitchSec >= 0) || math.IsInf(p.TrackSwitchSec, 1):
+		return fmt.Errorf("geometry: %s: TrackSwitchSec must be >= 0 and finite, got %g", p.Name, p.TrackSwitchSec)
+	case !(p.ReverseSec >= 0) || math.IsInf(p.ReverseSec, 1):
+		return fmt.Errorf("geometry: %s: ReverseSec must be >= 0 and finite, got %g", p.Name, p.ReverseSec)
+	case !(p.OverheadSec >= 0) || math.IsInf(p.OverheadSec, 1):
+		return fmt.Errorf("geometry: %s: OverheadSec must be >= 0 and finite, got %g", p.Name, p.OverheadSec)
 	case p.SectionCountJitter < 0:
 		return fmt.Errorf("geometry: %s: SectionCountJitter must be >= 0, got %d", p.Name, p.SectionCountJitter)
 	case p.BadSpotMaxLoss < 0:
 		return fmt.Errorf("geometry: %s: BadSpotMaxLoss must be >= 0, got %d", p.Name, p.BadSpotMaxLoss)
-	case p.DensityJitterFrac < 0 || p.DensityJitterFrac >= 0.5:
+	case !(p.DensityJitterFrac >= 0 && p.DensityJitterFrac < 0.5):
 		return fmt.Errorf("geometry: %s: DensityJitterFrac must be in [0,0.5), got %g", p.Name, p.DensityJitterFrac)
-	case p.PersonalityFrac < 0 || p.PersonalityFrac >= 0.5:
+	case !(p.PersonalityFrac >= 0 && p.PersonalityFrac < 0.5):
 		return fmt.Errorf("geometry: %s: PersonalityFrac must be in [0,0.5), got %g", p.Name, p.PersonalityFrac)
 	}
 	return nil

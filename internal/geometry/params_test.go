@@ -32,6 +32,24 @@ func TestValidateRejectsBadFields(t *testing.T) {
 		{func(p *Params) { p.BadSpotMaxLoss = -1 }, "BadSpotMaxLoss"},
 		{func(p *Params) { p.DensityJitterFrac = 0.6 }, "DensityJitterFrac"},
 		{func(p *Params) { p.PersonalityFrac = -0.1 }, "PersonalityFrac"},
+		// Non-finite and negative timings: each of these once passed
+		// Validate, and a NaN field would also defeat the cartridge
+		// intern's key equality.
+		{func(p *Params) { p.LastSectionFrac = math.NaN() }, "LastSectionFrac"},
+		{func(p *Params) { p.ReadSecPerSection = math.NaN() }, "ReadSecPerSection"},
+		{func(p *Params) { p.ReadSecPerSection = math.Inf(1) }, "ReadSecPerSection"},
+		{func(p *Params) { p.ScanSecPerSection = math.NaN() }, "ScanSecPerSection"},
+		{func(p *Params) { p.DensityJitterFrac = math.NaN() }, "DensityJitterFrac"},
+		{func(p *Params) { p.PersonalityFrac = math.NaN() }, "PersonalityFrac"},
+		{func(p *Params) { p.TrackSwitchSec = math.NaN() }, "TrackSwitchSec"},
+		{func(p *Params) { p.TrackSwitchSec = -1 }, "TrackSwitchSec"},
+		{func(p *Params) { p.TrackSwitchSec = math.Inf(1) }, "TrackSwitchSec"},
+		{func(p *Params) { p.ReverseSec = math.NaN() }, "ReverseSec"},
+		{func(p *Params) { p.ReverseSec = -1 }, "ReverseSec"},
+		{func(p *Params) { p.ReverseSec = math.Inf(1) }, "ReverseSec"},
+		{func(p *Params) { p.OverheadSec = math.NaN() }, "OverheadSec"},
+		{func(p *Params) { p.OverheadSec = -1 }, "OverheadSec"},
+		{func(p *Params) { p.OverheadSec = math.Inf(1) }, "OverheadSec"},
 	}
 	for _, c := range cases {
 		p := DLT4000()

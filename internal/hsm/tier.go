@@ -26,6 +26,7 @@ import (
 
 	"serpentine/internal/core"
 	"serpentine/internal/obs"
+	"serpentine/internal/sim"
 	"serpentine/internal/tertiary"
 )
 
@@ -94,18 +95,9 @@ func (c Config) validate() error {
 	if c.PrefetchThreshold < 0 {
 		return fmt.Errorf("hsm: PrefetchThreshold %d is negative", c.PrefetchThreshold)
 	}
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"LatencySec", c.Disk.LatencySec},
-		{"BytesPerSec", c.Disk.BytesPerSec},
-	} {
-		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("hsm: Disk.%s %v is negative or not finite", f.name, f.v)
-		}
-	}
-	return nil
+	return sim.CheckFinite("hsm", map[string]float64{
+		"Disk.LatencySec": c.Disk.LatencySec, "Disk.BytesPerSec": c.Disk.BytesPerSec,
+	})
 }
 
 // Enabled reports whether the tier caches at all.

@@ -175,7 +175,7 @@ func NewSLOEngine(cfg SLOConfig) (*SLOEngine, error) {
 	have := make(map[float64]bool, len(windows))
 	ws := make([]float64, 0, len(windows)+2*len(rules))
 	for _, w := range windows {
-		if w <= 0 {
+		if !(w > 0) {
 			return nil, fmt.Errorf("obs: SLO window %g must be positive", w)
 		}
 		if !have[w] {
@@ -184,10 +184,10 @@ func NewSLOEngine(cfg SLOConfig) (*SLOEngine, error) {
 		}
 	}
 	for _, r := range rules {
-		if r.ShortSec <= 0 || r.LongSec < r.ShortSec {
+		if !(r.ShortSec > 0) || !(r.LongSec >= r.ShortSec) {
 			return nil, fmt.Errorf("obs: burn rule %q windows %g/%g invalid", r.Name, r.ShortSec, r.LongSec)
 		}
-		if r.Burn <= 0 {
+		if !(r.Burn > 0) {
 			return nil, fmt.Errorf("obs: burn rule %q burn %g must be positive", r.Name, r.Burn)
 		}
 		for _, w := range []float64{r.ShortSec, r.LongSec} {
@@ -203,7 +203,7 @@ func NewSLOEngine(cfg SLOConfig) (*SLOEngine, error) {
 		if o.Name == "" {
 			return nil, fmt.Errorf("obs: objective with empty name")
 		}
-		if o.Target <= 0 || o.Target >= 1 {
+		if !(o.Target > 0 && o.Target < 1) {
 			return nil, fmt.Errorf("obs: objective %q target %g must be in (0,1)", o.Name, o.Target)
 		}
 		st := &objState{obj: o, firing: make([]bool, len(rules))}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -162,10 +163,17 @@ func TestSLOConfigValidation(t *testing.T) {
 		{WindowsSec: []float64{-1}},
 		{Rules: []BurnRule{{Name: "r", ShortSec: 100, LongSec: 10, Burn: 1}}},
 		{Rules: []BurnRule{{Name: "r", ShortSec: 10, LongSec: 100, Burn: 0}}},
+		// NaN fails every comparison, so each of these once passed a
+		// check written as "x <= 0".
+		{Objectives: []Objective{{Name: "x", Target: math.NaN()}}},
+		{WindowsSec: []float64{math.NaN()}},
+		{Rules: []BurnRule{{Name: "r", ShortSec: math.NaN(), LongSec: 100, Burn: 1}}},
+		{Rules: []BurnRule{{Name: "r", ShortSec: 10, LongSec: math.NaN(), Burn: 1}}},
+		{Rules: []BurnRule{{Name: "r", ShortSec: 10, LongSec: 100, Burn: math.NaN()}}},
 	}
 	for i, cfg := range bad {
 		if _, err := NewSLOEngine(cfg); err == nil {
-			t.Fatalf("config %d accepted: %+v", i, cfg)
+			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
 	}
 }

@@ -18,7 +18,6 @@ package server
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"serpentine/internal/core"
 	"serpentine/internal/drive"
@@ -29,34 +28,6 @@ import (
 	"serpentine/internal/sim"
 	"serpentine/internal/stats"
 )
-
-// cartridges caches the generated tape and its characterized locate
-// model per serial. Both are pure functions of the serial (the server
-// always uses the DLT4000 format), immutable, and shared safely
-// across runs — while the sweeps spin up hundreds of runs that would
-// otherwise regenerate the same multi-megabyte tables per cell.
-var cartridges sync.Map // int64 -> *cartridge
-
-type cartridge struct {
-	tape  *geometry.Tape
-	model *locate.Model
-}
-
-func cartridgeFor(serial int64) (*cartridge, error) {
-	if c, ok := cartridges.Load(serial); ok {
-		return c.(*cartridge), nil
-	}
-	tape, err := geometry.Generate(geometry.DLT4000(), serial)
-	if err != nil {
-		return nil, fmt.Errorf("server: tape: %w", err)
-	}
-	model, err := locate.FromKeyPoints(tape.KeyPoints())
-	if err != nil {
-		return nil, fmt.Errorf("server: model: %w", err)
-	}
-	c, _ := cartridges.LoadOrStore(serial, &cartridge{tape: tape, model: model})
-	return c.(*cartridge), nil
-}
 
 // Config describes one online serving run.
 type Config struct {
@@ -294,29 +265,39 @@ func Run(cfg Config, arrivals []Request) (*Result, error) {
 	if sched == nil {
 		sched = core.NewLOSS()
 	}
+	if err := sim.CheckSizes("server", map[string]int{
+		"QueueCap": cfg.QueueCap, "ReadLen": cfg.ReadLen, "MaxBatch": cfg.MaxBatch,
+	}); err != nil {
+		return nil, err
+	}
 	readLen := cfg.ReadLen
-	if readLen < 1 {
+	if readLen == 0 {
 		readLen = 1
 	}
 	queueCap := cfg.QueueCap
-	if queueCap <= 0 {
+	if queueCap == 0 {
 		queueCap = 1024
 	}
 	if cfg.WindowSec == 0 {
 		cfg.WindowSec = 600
 	}
-	if cfg.WindowSec < 0 || math.IsNaN(cfg.WindowSec) || math.IsInf(cfg.WindowSec, 0) {
-		return nil, fmt.Errorf("server: window of %g seconds", cfg.WindowSec)
+	if err := sim.CheckFinite("server", map[string]float64{
+		"WindowSec": cfg.WindowSec, "DeadlineSec": cfg.DeadlineSec,
+	}); err != nil {
+		return nil, err
 	}
 	if err := cfg.Faults.Validate(); err != nil {
 		return nil, fmt.Errorf("server: faults: %w", err)
 	}
-
-	cart, err := cartridgeFor(serial)
-	if err != nil {
-		return nil, err
+	if err := cfg.Retry.Validate(); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
-	tape, model := cart.tape, cart.model
+
+	cart, err := locate.Load(geometry.DLT4000(), serial)
+	if err != nil {
+		return nil, fmt.Errorf("server: tape: %w", err)
+	}
+	tape, model := cart.Tape(), cart.Model()
 	last := model.Segments() - readLen
 	prev := 0.0
 	for i, r := range arrivals {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"serpentine/internal/core"
@@ -184,6 +185,28 @@ func TestRunRejectsMalformedStreams(t *testing.T) {
 				t.Fatal("malformed stream accepted")
 			}
 		})
+	}
+}
+
+// A negative QueueCap once ran as the default 1024 and a negative
+// ReadLen as 1; a NaN backoff once passed. Only an exact 0 selects a
+// default, so each must be an error naming its field.
+func TestRunRejectsBadConfig(t *testing.T) {
+	cases := []struct {
+		field string
+		cfg   Config
+	}{
+		{"QueueCap", Config{QueueCap: -1}},
+		{"ReadLen", Config{ReadLen: -1}},
+		{"MaxBatch", Config{MaxBatch: -1}},
+		{"MaxRetries", Config{Retry: sim.RetryPolicy{MaxRetries: -1}}},
+		{"BackoffBaseSec", Config{Retry: sim.RetryPolicy{BackoffBaseSec: math.NaN()}}},
+	}
+	for _, c := range cases {
+		_, err := Run(c.cfg, []Request{{Segment: 1}})
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("negative or NaN %s: err = %v, want an error naming it", c.field, err)
+		}
 	}
 }
 

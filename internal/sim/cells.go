@@ -2,8 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -74,15 +74,28 @@ func Cells[S, C any](specs []S, workers int, cell func(S) (C, error)) ([]C, erro
 // never a value silently replaced. With several negative fields the
 // alphabetically first is named.
 func CheckSizes(scope string, sizes map[string]int) error {
-	var bad []string
-	for name, v := range sizes {
-		if v < 0 {
-			bad = append(bad, name)
+	if name, ok := firstBad(sizes, func(v int) bool { return v < 0 }); ok {
+		return fmt.Errorf("%s: %s %d is negative (0 selects the default)", scope, name, sizes[name])
+	}
+	return nil
+}
+
+// CheckFinite is CheckSizes for real-valued knobs (seconds, rates):
+// a negative, NaN or infinite value is an error naming its field.
+func CheckFinite(scope string, vals map[string]float64) error {
+	if name, ok := firstBad(vals, func(v float64) bool { return !(v >= 0) || math.IsInf(v, 1) }); ok {
+		return fmt.Errorf("%s: %s %g is negative or not finite", scope, name, vals[name])
+	}
+	return nil
+}
+
+// firstBad returns the alphabetically first field that bad rejects.
+func firstBad[V int | float64](fields map[string]V, bad func(V) bool) (string, bool) {
+	first, found := "", false
+	for name, v := range fields {
+		if bad(v) && (!found || name < first) {
+			first, found = name, true
 		}
 	}
-	if len(bad) == 0 {
-		return nil
-	}
-	sort.Strings(bad)
-	return fmt.Errorf("%s: %s %d is negative (0 selects the default)", scope, bad[0], sizes[bad[0]])
+	return first, found
 }

@@ -135,6 +135,9 @@ func BatchChain(cfg ChainConfig) (ChainResult, error) {
 		if err := cfg.Faults.Validate(); err != nil {
 			return ChainResult{}, fmt.Errorf("sim: BatchChain faults: %w", err)
 		}
+		if err := cfg.Policy.Validate(); err != nil {
+			return ChainResult{}, err
+		}
 		if cfg.Faults.Enabled() {
 			cfg.Drive.AttachFaults(fault.New(cfg.Faults))
 		}

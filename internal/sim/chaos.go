@@ -82,6 +82,13 @@ func ChaosSweep(cfg ChaosConfig) ([]ChaosCell, error) {
 	if rates == nil {
 		rates = []float64{0, 0.5, 1, 2, 4}
 	}
+	for _, r := range rates {
+		// fault.Config.Scale clamps to [0,1]; a negative or non-finite
+		// multiplier must fail here rather than run as 0 or 1.
+		if err := CheckFinite("sim: chaos", map[string]float64{"Rates": r}); err != nil {
+			return nil, err
+		}
+	}
 	base := cfg.Base
 	if !base.Enabled() {
 		base = fault.Default(0)
@@ -99,14 +106,11 @@ func ChaosSweep(cfg ChaosConfig) ([]ChaosCell, error) {
 		warmup = 2
 	}
 
-	tape, err := geometry.Generate(geometry.DLT4000(), serial)
+	cart, err := locate.Load(geometry.DLT4000(), serial)
 	if err != nil {
 		return nil, fmt.Errorf("sim: chaos tape: %w", err)
 	}
-	model, err := locate.FromKeyPoints(tape.KeyPoints())
-	if err != nil {
-		return nil, fmt.Errorf("sim: chaos model: %w", err)
-	}
+	tape, model := cart.Tape(), cart.Model()
 
 	type cellSpec struct {
 		sched   core.Scheduler

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -94,6 +95,19 @@ func TestBatchChainRejectsInvalidFaultConfig(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("invalid fault rate accepted")
+	}
+}
+
+// fault.Config.Scale clamps every rate into [0,1], so a negative
+// multiplier once ran as a fault-free cell under a "x-1" header. The
+// sweep must reject a negative or non-finite multiplier by name.
+func TestChaosSweepRejectsBadRateMultipliers(t *testing.T) {
+	for _, r := range []float64{-1, math.NaN(), math.Inf(1)} {
+		cfg := chaosDefaults(1)
+		cfg.Rates = []float64{0, r}
+		if _, err := ChaosSweep(cfg); err == nil || !strings.Contains(err.Error(), "Rates") {
+			t.Errorf("rate multiplier %g: err = %v, want an error naming Rates", r, err)
+		}
 	}
 }
 

@@ -56,24 +56,38 @@ type RetryPolicy struct {
 	PlanningBudgetOps int
 }
 
+// Validate rejects what withDefaults would otherwise reinterpret: a
+// negative count, or seconds that are negative, NaN or infinite. Only
+// an exact 0 selects a field's default.
+func (p RetryPolicy) Validate() error {
+	if err := CheckSizes("sim: retry policy", map[string]int{
+		"MaxRetries": p.MaxRetries, "MaxReplans": p.MaxReplans, "PlanningBudgetOps": p.PlanningBudgetOps,
+	}); err != nil {
+		return err
+	}
+	return CheckFinite("sim: retry policy", map[string]float64{
+		"BackoffBaseSec": p.BackoffBaseSec, "BackoffMaxSec": p.BackoffMaxSec, "RequestTimeoutSec": p.RequestTimeoutSec,
+	})
+}
+
 // withDefaults resolves the zero-value fields.
 func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxRetries <= 0 {
+	if p.MaxRetries == 0 {
 		p.MaxRetries = 3
 	}
-	if p.BackoffBaseSec <= 0 {
+	if p.BackoffBaseSec == 0 {
 		p.BackoffBaseSec = 0.5
 	}
-	if p.BackoffMaxSec <= 0 {
+	if p.BackoffMaxSec == 0 {
 		p.BackoffMaxSec = 30
 	}
-	if p.RequestTimeoutSec <= 0 {
+	if p.RequestTimeoutSec == 0 {
 		p.RequestTimeoutSec = DefaultRequestTimeoutSec
 	}
-	if p.MaxReplans <= 0 {
+	if p.MaxReplans == 0 {
 		p.MaxReplans = 16
 	}
-	if p.PlanningBudgetOps <= 0 {
+	if p.PlanningBudgetOps == 0 {
 		p.PlanningBudgetOps = 4 << 20
 	}
 	return p

@@ -78,11 +78,11 @@ func (p *Placement) validate(l *Library) error {
 		}
 		seen := map[int64]bool{primary.Tape: true}
 		for i, r := range reps {
-			tape, ok := l.tapes[r.Tape]
+			cart, ok := l.carts[r.Tape]
 			if !ok {
 				return fmt.Errorf("tertiary: replica %d of %s on unknown tape %d", i+1, id, r.Tape)
 			}
-			if r.Start < 0 || r.Start+r.segments() > tape.Segments() {
+			if r.Start < 0 || r.Start+r.segments() > cart.Tape().Segments() {
 				return fmt.Errorf("tertiary: replica %d of %s extent [%d,%d) outside tape %d",
 					i+1, id, r.Start, r.Start+r.segments(), r.Tape)
 			}

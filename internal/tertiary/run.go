@@ -803,14 +803,14 @@ func (s *runState) exchange(d *driveState, serial int64, now float64) (rewind, w
 			Attr("tape", strconv.FormatInt(serial, 10)).End(exStart + wait + exDur)
 	}
 
-	dev := drive.New(s.l.tapes[serial])
+	dev := drive.New(s.l.carts[serial].Tape())
 	f := s.cfg.Faults
 	armed := f.Enabled()
 	if s.lc != nil {
 		// A cartridge's bad-spot region is a permanent media defect:
 		// a pure hash of the serial, so every mount of the cartridge
 		// sees the same region.
-		if start, n, bad := s.lc.BadSpot(serial, s.l.tapes[serial].Segments()); bad {
+		if start, n, bad := s.lc.BadSpot(serial, s.l.carts[serial].Tape().Segments()); bad {
 			f.BadSpotStart, f.BadSpotLen = start, n
 			armed = true
 		}
@@ -1104,7 +1104,7 @@ func (s *runState) serveClass(d *driveState, serial int64, now, serveStart, c0, 
 	}
 	s.uniq = uniq
 
-	s.prob = core.Problem{Start: d.dev.Position(), Requests: uniq, ReadLen: rl, Cost: s.l.models[serial]}
+	s.prob = core.Problem{Start: d.dev.Position(), Requests: uniq, ReadLen: rl, Cost: s.l.carts[serial].Model()}
 	plan, err := s.l.sched.Schedule(&s.prob)
 	if err != nil {
 		return fmt.Errorf("tertiary: scheduling %d requests on tape %d: %w", len(uniq), serial, err)

@@ -9,6 +9,7 @@ import (
 	"serpentine/internal/core"
 	"serpentine/internal/fault"
 	"serpentine/internal/geometry"
+	"serpentine/internal/locate"
 	"serpentine/internal/obs"
 	"serpentine/internal/rand48"
 	"serpentine/internal/server"
@@ -133,8 +134,8 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 		n = 400
 	}
 
-	// Build the store once: the base library owns the tapes, locate
-	// models and catalog every cell shares read-only.
+	// Build the store once: the base library holds the cartridges and
+	// catalog every cell shares read-only.
 	base, err := SweepStore(cfg.Profile, tapeCount, objects, objSegs, cfg.MountSec, cfg.UnmountSec)
 	if err != nil {
 		return nil, err
@@ -222,9 +223,9 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 }
 
 // Clone returns a library sharing this library's read-only store —
-// tapes, locate models, catalog — under a different configuration.
+// interned cartridges, catalog — under a different configuration.
 // The sweeps use it to give every cell its own registry, tracer and
-// knobs without regenerating the tapes; the fleet uses it to give
+// knobs over one catalog; the fleet uses it to give
 // every cell's shards their own labels and span lanes. A zero Profile
 // and nil Tapes select the store's own; others must describe the
 // shared store: they are not revalidated. The rest of the
@@ -244,8 +245,7 @@ func (l *Library) Clone(cfg Config) *Library {
 	return &Library{
 		cfg:     cfg.withDefaults(),
 		catalog: l.catalog,
-		tapes:   l.tapes,
-		models:  l.models,
+		carts:   l.carts,
 		sched:   sched,
 	}
 }
@@ -276,11 +276,11 @@ func SweepLayout(profile geometry.Params, tapeCount, objects, objSegs, replicas 
 	strides := make([]int, tapeCount)
 	for t := range serials {
 		serials[t] = int64(3000 + t)
-		tape, err := geometry.Generate(profile, serials[t])
+		cart, err := locate.Load(profile, serials[t])
 		if err != nil {
 			return nil, fmt.Errorf("tertiary: sweep tape %d: %w", serials[t], err)
 		}
-		strides[t] = tape.Segments() / objects
+		strides[t] = cart.Tape().Segments() / objects
 		if strides[t]/replicas < objSegs {
 			return nil, fmt.Errorf("tertiary: sweep: %d objects × %d copies of %d segments overflow tape %d",
 				objects, replicas, objSegs, serials[t])
@@ -302,8 +302,8 @@ func SweepLayout(profile geometry.Params, tapeCount, objects, objSegs, replicas 
 }
 
 // SweepStore builds the sweeps' shared single-copy store (SweepLayout
-// with one replica). The returned base library owns the tapes, locate
-// models and catalog; sweep cells Clone it with their own knobs,
+// with one replica). The returned base library holds the cartridges
+// and catalog; sweep cells Clone it with their own knobs,
 // registries and tracers. A zero profile selects the DLT4000;
 // mountSec/unmountSec pass through to the base Config (cells normally
 // override them in their Clone anyway). Exported so the staging-tier

@@ -18,7 +18,6 @@ package tertiary
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"serpentine/internal/core"
@@ -352,22 +351,20 @@ func (cfg Config) validate() error {
 	}); err != nil {
 		return err
 	}
-	if cfg.MountSec < 0 || cfg.UnmountSec < 0 ||
-		math.IsNaN(cfg.MountSec) || math.IsNaN(cfg.UnmountSec) ||
-		math.IsInf(cfg.MountSec, 0) || math.IsInf(cfg.UnmountSec, 0) {
-		return fmt.Errorf("tertiary: exchange times %g/%g s", cfg.MountSec, cfg.UnmountSec)
-	}
-	if cfg.WindowSec < 0 || math.IsNaN(cfg.WindowSec) || math.IsInf(cfg.WindowSec, 0) {
-		return fmt.Errorf("tertiary: window of %g seconds", cfg.WindowSec)
+	if err := sim.CheckFinite("tertiary", map[string]float64{
+		"MountSec": cfg.MountSec, "UnmountSec": cfg.UnmountSec,
+		"WindowSec": cfg.WindowSec, "DeadlineSec": cfg.DeadlineSec,
+	}); err != nil {
+		return err
 	}
 	if err := cfg.Faults.Validate(); err != nil {
 		return fmt.Errorf("tertiary: faults: %w", err)
 	}
+	if err := cfg.Retry.Validate(); err != nil {
+		return fmt.Errorf("tertiary: %w", err)
+	}
 	if err := cfg.Lifecycle.Validate(); err != nil {
 		return fmt.Errorf("tertiary: lifecycle: %w", err)
-	}
-	if cfg.DeadlineSec < 0 || math.IsNaN(cfg.DeadlineSec) || math.IsInf(cfg.DeadlineSec, 0) {
-		return fmt.Errorf("tertiary: deadline budget of %g seconds", cfg.DeadlineSec)
 	}
 	return nil
 }
@@ -377,14 +374,14 @@ func (cfg Config) validate() error {
 type Library struct {
 	cfg     Config
 	catalog *Catalog
-	tapes   map[int64]*geometry.Tape
-	models  map[int64]*locate.Model
+	carts   map[int64]*locate.Cartridge
 	sched   core.Scheduler
 }
 
-// New builds the library, generating (standing in for "loading") every
-// cartridge and characterizing it: each tape's locate model is built
-// from its own key points, as the paper's Figure 9 shows it must be.
+// New builds the library over the interned cartridges (locate.Load):
+// each tape's locate model is characterized from its own key points,
+// as the paper's Figure 9 shows it must be, and shared with every
+// other store over the same profile and serial.
 func New(cfg Config, catalog *Catalog) (*Library, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Tapes) == 0 {
@@ -403,32 +400,26 @@ func New(cfg Config, catalog *Catalog) (*Library, error) {
 	l := &Library{
 		cfg:     cfg,
 		catalog: catalog,
-		tapes:   make(map[int64]*geometry.Tape, len(cfg.Tapes)),
-		models:  make(map[int64]*locate.Model, len(cfg.Tapes)),
+		carts:   make(map[int64]*locate.Cartridge, len(cfg.Tapes)),
 		sched:   sched,
 	}
 	for _, serial := range cfg.Tapes {
-		if _, dup := l.tapes[serial]; dup {
+		if _, dup := l.carts[serial]; dup {
 			return nil, fmt.Errorf("tertiary: duplicate tape serial %d", serial)
 		}
-		tape, err := geometry.Generate(cfg.Profile, serial)
+		cart, err := locate.Load(cfg.Profile, serial)
 		if err != nil {
 			return nil, err
 		}
-		model, err := locate.FromKeyPoints(tape.KeyPoints())
-		if err != nil {
-			return nil, err
-		}
-		l.tapes[serial] = tape
-		l.models[serial] = model
+		l.carts[serial] = cart
 	}
 	// Validate the catalog against the tapes.
 	for id, o := range catalog.objects {
-		tape, ok := l.tapes[o.Tape]
+		cart, ok := l.carts[o.Tape]
 		if !ok {
 			return nil, fmt.Errorf("tertiary: object %s on unknown tape %d", id, o.Tape)
 		}
-		if o.Start < 0 || o.Start+o.segments() > tape.Segments() {
+		if o.Start < 0 || o.Start+o.segments() > cart.Tape().Segments() {
 			return nil, fmt.Errorf("tertiary: object %s extent [%d,%d) outside tape %d",
 				id, o.Start, o.Start+o.segments(), o.Tape)
 		}
@@ -458,10 +449,11 @@ func (l *Library) Objects() []Object { return l.catalog.All() }
 // it amortizes over whatever batch the re-fetch would join. Objects
 // on unknown tapes cost 0.
 func (l *Library) RefetchSec(o Object) float64 {
-	model, ok := l.models[o.Tape]
+	cart, ok := l.carts[o.Tape]
 	if !ok {
 		return 0
 	}
+	model := cart.Model()
 	cost := model.LocateTime(0, o.Start)
 	for k := 0; k < o.segments(); k++ {
 		cost += model.ReadTime(o.Start + k)
@@ -471,8 +463,8 @@ func (l *Library) RefetchSec(o Object) float64 {
 
 // Tapes returns the cartridge serials in the library.
 func (l *Library) Tapes() []int64 {
-	out := make([]int64, 0, len(l.tapes))
-	for s := range l.tapes {
+	out := make([]int64, 0, len(l.carts))
+	for s := range l.carts {
 		out = append(out, s)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })

@@ -3,9 +3,11 @@ package tertiary
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"serpentine/internal/core"
+	"serpentine/internal/drive"
 	"serpentine/internal/geometry"
 )
 
@@ -285,5 +287,47 @@ func TestTapesAccessor(t *testing.T) {
 	got := lib.Tapes()
 	if len(got) != 2 || got[0] != 101 || got[1] != 102 {
 		t.Fatalf("Tapes() = %v", got)
+	}
+}
+
+// Stores over the same profile and serials share the interned
+// cartridges: one tape and one locate model per serial however many
+// libraries are built. A drive loading a separately generated copy of
+// a tape positions over the same interned truth model instead of
+// building its own multi-megabyte copy.
+func TestStoresShareInternedCartridges(t *testing.T) {
+	cfg := Config{Profile: geometry.DLT4000(), Tapes: []int64{3000, 3001}}
+	cat := smallCatalog(t, cfg, 4)
+	a, err := New(cfg, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(cfg, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, serial := range cfg.Tapes {
+		ca, cb := a.carts[serial], b.carts[serial]
+		if ca.Tape() != cb.Tape() || ca.Model() != cb.Model() {
+			t.Fatalf("tape %d: stores hold tapes %p/%p and models %p/%p, want one of each",
+				serial, ca.Tape(), cb.Tape(), ca.Model(), cb.Model())
+		}
+	}
+
+	interned := drive.New(a.carts[3000].Tape()) // builds the truth model
+	fresh := geometry.MustGenerate(cfg.Profile, 3000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d := drive.New(fresh)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("drive.New on a fresh copy of tape 3000 allocated %d B: it built a truth model", got)
+	}
+	for _, lbn := range []int{0, 311027, 5, 600000} {
+		want, err1 := interned.Locate(lbn)
+		got, err2 := d.Locate(lbn)
+		if err1 != nil || err2 != nil || got != want {
+			t.Fatalf("Locate(%d) = %g (%v) on the fresh tape, %g (%v) on the interned one", lbn, got, err2, want, err1)
+		}
 	}
 }

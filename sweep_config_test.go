@@ -151,6 +151,53 @@ func TestSweepsRejectNonFiniteRates(t *testing.T) {
 	}
 }
 
+// A RetryPolicy once ran every field <= 0 as its default, so
+// MaxRetries -1 ran as 3, and a NaN or +Inf backoff passed. Every
+// sweep that carries a policy must reject such a field by name.
+func TestSweepsRejectBadRetryPolicies(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		pol   sim.RetryPolicy
+	}{
+		{"MaxRetries", sim.RetryPolicy{MaxRetries: -1}},
+		{"MaxReplans", sim.RetryPolicy{MaxReplans: -1}},
+		{"PlanningBudgetOps", sim.RetryPolicy{PlanningBudgetOps: -1}},
+		{"BackoffBaseSec", sim.RetryPolicy{BackoffBaseSec: math.NaN()}},
+		{"BackoffBaseSec", sim.RetryPolicy{BackoffBaseSec: math.Inf(1)}},
+		{"BackoffMaxSec", sim.RetryPolicy{BackoffMaxSec: -1}},
+		{"RequestTimeoutSec", sim.RetryPolicy{RequestTimeoutSec: math.NaN()}},
+	} {
+		for _, s := range []struct {
+			sweep string
+			run   func() error
+		}{
+			{"tertiary.Sweep", func() error {
+				_, err := tertiary.Sweep(tinyLibrarySweep(tertiary.SweepConfig{Retry: c.pol}))
+				return err
+			}},
+			{"fleet.Sweep", func() error {
+				_, err := fleet.Sweep(fleet.SweepConfig{
+					TapeCount: 1, Objects: 1, Requests: 1, RatesPerHour: []float64{60},
+					ShardCounts: []int{1}, Routers: []fleet.Router{fleet.RoundRobin{}}, Retry: c.pol,
+				})
+				return err
+			}},
+			{"server.Sweep", func() error {
+				_, err := server.Sweep(server.SweepConfig{
+					Requests: 1, RatesPerHour: []float64{60}, Retry: c.pol,
+					Policies: server.AllPolicies()[:1], Schedulers: []core.Scheduler{core.Sort{}},
+				})
+				return err
+			}},
+		} {
+			err := s.run()
+			if err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Errorf("%s with %s %+v: err = %v, want an error naming %s", s.sweep, c.field, c.pol, err, c.field)
+			}
+		}
+	}
+}
+
 // tinyLibrarySweep shrinks a library sweep to one cartridge, one
 // object, one rate and one request, keeping the axes cfg sets.
 func tinyLibrarySweep(cfg tertiary.SweepConfig) tertiary.SweepConfig {
