@@ -82,11 +82,11 @@ profile:
 
 # Short fuzzing passes over the executor's replan path, the server's
 # admission queue, the library batcher, the sweeps' store layout, the
-# bounded span store, the wide-event ring, the SLO sliding windows, the
-# staging cache's eviction policies, the fleet routing tier, and dense
-# and sparse LOSS against their eager full-sort reference — the state
-# machines and builders arbitrary inputs can reach. CI runs this on every PR; locally, raise
-# FUZZTIME to dig.
+# bounded ring and the span store and wide-event ring built on it, the
+# SLO sliding windows, the staging cache's eviction policies, the fleet
+# routing tier, and dense and sparse LOSS against their eager full-sort
+# reference — the state machines and builders arbitrary inputs can
+# reach. CI runs this on every PR; locally, raise FUZZTIME to dig.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExecutorReplan$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzAdmissionQueue$$' -fuzztime $(FUZZTIME) ./internal/server/
@@ -94,6 +94,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLibraryRescue$$' -fuzztime $(FUZZTIME) ./internal/tertiary/
 	$(GO) test -run '^$$' -fuzz '^FuzzEventHeap$$' -fuzztime $(FUZZTIME) ./internal/tertiary/
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepLayout$$' -fuzztime $(FUZZTIME) ./internal/tertiary/
+	$(GO) test -run '^$$' -fuzz '^FuzzRing$$' -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzSpanStore$$' -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzWideEventRing$$' -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzSLOWindow$$' -fuzztime $(FUZZTIME) ./internal/obs/

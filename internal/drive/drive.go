@@ -485,17 +485,22 @@ func (d *Drive) Recalibrate() float64 {
 }
 
 // Wait charges host-imposed idle time — retry backoff between attempts
-// — to the virtual clock. Non-positive and non-finite durations are
-// ignored. The drive does nothing during a Wait; it exists so that
-// recovery policies account for the time they cost the request stream.
-func (d *Drive) Wait(sec float64) {
-	if math.IsNaN(sec) || math.IsInf(sec, 0) || sec <= 0 {
-		return
+// — to the virtual clock. A wait of exactly 0 is a no-op; a negative or
+// non-finite duration is an error and charges nothing. The drive does
+// nothing during a Wait; it exists so that recovery policies account
+// for the time they cost the request stream.
+func (d *Drive) Wait(sec float64) error {
+	if !(sec >= 0) || math.IsInf(sec, 1) {
+		return fmt.Errorf("drive: wait of %g s is negative or not finite", sec)
+	}
+	if sec == 0 {
+		return nil
 	}
 	start := d.clock
 	d.clock += sec
 	d.stats.WaitSec += sec
 	d.emit("wait", -1, start, nil)
+	return nil
 }
 
 // ExecuteOrder runs a retrieval schedule: locate to and read each

@@ -2,6 +2,7 @@ package drive
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"serpentine/internal/fault"
@@ -138,22 +139,26 @@ func TestMediaErrorIsPermanentAndDeterministic(t *testing.T) {
 	}
 }
 
+// A wait charges the clock only for a finite non-negative duration: 0
+// is a no-op, and a negative, NaN or infinite wait is an error that
+// charges nothing.
 func TestWaitChargesOnlyFiniteDurations(t *testing.T) {
 	d := New(newTape(t, 1))
-	d.Wait(2.5)
+	if err := d.Wait(2.5); err != nil || d.Clock() != 2.5 || d.Stats().WaitSec != 2.5 {
+		t.Fatalf("Wait(2.5) = %v, clock %.2f", err, d.Clock())
+	}
+	if err := d.Wait(0); err != nil {
+		t.Fatalf("Wait(0) = %v, want a no-op", err)
+	}
+	for _, bad := range []float64{-1, math.Inf(-1), math.NaN(), math.Inf(1)} {
+		if err := d.Wait(bad); err == nil {
+			t.Errorf("Wait(%g) returned nil, want an error", bad)
+		}
+	}
 	if d.Clock() != 2.5 || d.Stats().WaitSec != 2.5 {
-		t.Fatalf("wait not charged: clock %.2f", d.Clock())
-	}
-	for _, bad := range []float64{0, -1, nan(), inf()} {
-		d.Wait(bad)
-	}
-	if d.Clock() != 2.5 {
 		t.Fatalf("degenerate waits charged: clock %.2f", d.Clock())
 	}
 }
-
-func nan() float64 { z := 0.0; return z / z }
-func inf() float64 { z := 0.0; return 1 / z }
 
 // Injected faults must be reproducible: the same seed gives the same
 // fault sequence, clock and stats.

@@ -201,7 +201,7 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 		// every policy at one coordinate replays the same
 		// stream, tie-break draws and failure history, so the
 		// router column isolates what the policy buys.
-		seed := cfg.Seed*1000003 + int64(sp.rateIdx)*8191 + int64(sp.shardIdx)*521 + 7
+		seed := sim.CellSeed(cfg.Seed, sp.rateIdx, sp.shardIdx, 0)
 		stream, err := tertiary.SweepStream(rate, n, seed, tapeCount, objects, cfg.Locality)
 		if err != nil {
 			return Cell{}, fmt.Errorf("fleet: sweep arrivals %g/h: %w", rate, err)

@@ -181,7 +181,7 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 		// cache size and policy replays the same workload, and
 		// the size-0 cells share streams with the bare library
 		// sweep.
-		seed := cfg.Seed*1000003 + int64(sp.rateIdx)*8191 + 7
+		seed := sim.CellSeed(cfg.Seed, sp.rateIdx, 0, 0)
 		stream, err := tertiary.SweepStream(rate, n, seed, tapeCount, objects, 0)
 		if err != nil {
 			return Cell{}, fmt.Errorf("hsm: sweep arrivals %g/h: %w", rate, err)

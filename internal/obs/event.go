@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 )
 
 // The wide-event layer is the per-request half of the observability
@@ -100,128 +99,52 @@ func (e Event) AttributionSum() float64 {
 	return e.QueueSec + e.RobotSec + e.MountSec + e.LocateSec + e.TransferSec + e.RetrySec + e.RescueSec
 }
 
-// EventRing is a bounded, deterministic store of wide events: a ring
+// EventRing is a bounded, deterministic store of wide events: a Ring
 // retaining the most recent cap events in emission order. It is safe
 // for concurrent use; within one single-threaded simulation the store
 // content is a pure function of the run. A nil *EventRing is a valid
 // no-op sink — every method no-ops — so emission points never branch
 // on whether wide events are enabled, and an un-instrumented run pays
 // nothing.
-type EventRing struct {
-	mu      sync.Mutex
-	ring    []Event
-	next    int
-	total   int64
-	dropped int64
-}
+type EventRing struct{ ring *Ring[Event] }
 
 // NewEventRing returns a ring retaining the most recent cap events
 // (minimum 1).
-func NewEventRing(cap int) *EventRing {
-	if cap < 1 {
-		cap = 1
+func NewEventRing(cap int) *EventRing { return &EventRing{NewRing[Event](cap)} }
+
+// store returns the backing ring, nil on a nil *EventRing.
+func (r *EventRing) store() *Ring[Event] {
+	if r == nil {
+		return nil
 	}
-	return &EventRing{ring: make([]Event, 0, cap)}
+	return r.ring
 }
 
 // Add records one event, evicting the oldest when full. If the event
-// carries no sequence number the ring assigns the next one (1-based,
-// dense in emission order).
-func (r *EventRing) Add(ev Event) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.total++
+// carries no sequence number it gets its 1-based position in the
+// emission stream (the fleet fold preserves per-shard numbers).
+func (r *EventRing) Add(ev Event) { r.store().add(ev, stampSeq) }
+
+func stampSeq(ev Event, n int64) Event {
 	if ev.Seq == 0 {
-		ev.Seq = r.total
+		ev.Seq = n
 	}
-	if len(r.ring) < cap(r.ring) {
-		r.ring = append(r.ring, ev)
-		return
-	}
-	r.dropped++
-	r.ring[r.next] = ev
-	r.next = (r.next + 1) % len(r.ring)
+	return ev
 }
 
 // Events returns the retained events, oldest first.
-func (r *EventRing) Events() []Event {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Event, 0, len(r.ring))
-	out = append(out, r.ring[r.next:]...)
-	out = append(out, r.ring[:r.next]...)
-	return out
-}
+func (r *EventRing) Events() []Event { return r.store().Items() }
 
 // Tail returns the retained events whose emission index (0-based
-// position in the total stream) is at least from, oldest first. It
-// lets an incremental consumer harvest only what arrived since its
-// last call; events evicted before the consumer caught up are simply
-// gone (check Dropped).
-func (r *EventRing) Tail(from int64) []Event {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	first := r.total - int64(len(r.ring)) // emission index of the oldest retained event
-	skip := from - first
-	if skip < 0 {
-		skip = 0
-	}
-	if skip >= int64(len(r.ring)) {
-		return nil
-	}
-	out := make([]Event, 0, int64(len(r.ring))-skip)
-	for i := skip; i < int64(len(r.ring)); i++ {
-		out = append(out, r.ring[(r.next+int(i))%len(r.ring)])
-	}
-	return out
-}
+// position in the total stream) is at least from, oldest first; see
+// Ring.Tail.
+func (r *EventRing) Tail(from int64) []Event { return r.store().Tail(from) }
 
-// Total returns how many events were ever added; Dropped how many of
-// those were evicted from the bounded store.
-func (r *EventRing) Total() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
+// Total returns how many events were ever added.
+func (r *EventRing) Total() int64 { return r.store().Total() }
 
 // Dropped returns the number of evicted events.
-func (r *EventRing) Dropped() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
-// Reset empties the ring and clears the vacated backing array so the
-// ring does not pin evicted events' strings and label slices — the
-// same stale-tail retention class the admission queue's compaction
-// once had. Counters reset too.
-func (r *EventRing) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	clear(r.ring[:cap(r.ring)])
-	r.ring = r.ring[:0]
-	r.next = 0
-	r.total = 0
-	r.dropped = 0
-}
+func (r *EventRing) Dropped() int64 { return r.store().Dropped() }
 
 // WriteEventsJSONL renders events one JSON object per line. Field
 // order follows the Event struct and floats use encoding/json's

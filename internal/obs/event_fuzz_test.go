@@ -3,9 +3,11 @@ package obs
 import "testing"
 
 // FuzzWideEventRing drives the bounded event ring with an arbitrary
-// op-sequence and checks conservation: events in == retained +
-// evicted, retention never exceeds the cap, eviction is strictly
-// oldest-first, and Tail is consistent with Events.
+// event sequence and checks conservation (events in == retained +
+// evicted), the cap, and sequence numbering: an event without a Seq
+// gets its 1-based emission position, one that carries a Seq keeps it
+// (ops >= 250), and the retained events are the newest, oldest first.
+// Tail at every offset is FuzzRing's.
 func FuzzWideEventRing(f *testing.F) {
 	f.Add(1, []byte{0})
 	f.Add(4, []byte{0, 1, 2, 3, 4, 250, 0, 7})
@@ -20,15 +22,18 @@ func FuzzWideEventRing(f *testing.F) {
 			effCap = 1
 		}
 		var added int64
+		var seqs []int64 // expected Seq of every added event
 		for i, op := range ops {
-			switch {
-			case op >= 250: // reset
-				r.Reset()
-				added = 0
-			default:
-				r.Add(Event{DoneSec: float64(i), Object: "o"})
-				added++
+			ev := Event{DoneSec: float64(i), Object: "o"}
+			if op >= 250 {
+				ev.Seq = 1000 + int64(i)
 			}
+			r.Add(ev)
+			added++
+			if ev.Seq == 0 {
+				ev.Seq = added
+			}
+			seqs = append(seqs, ev.Seq)
 			kept := r.Events()
 			if len(kept) > effCap {
 				t.Fatalf("ring holds %d events, cap %d", len(kept), effCap)
@@ -40,15 +45,14 @@ func FuzzWideEventRing(f *testing.F) {
 				t.Fatalf("conservation: total %d != kept %d + dropped %d",
 					r.Total(), len(kept), r.Dropped())
 			}
-			// Seqs are dense and increasing: eviction is oldest-first.
-			for j := 1; j < len(kept); j++ {
-				if kept[j].Seq != kept[j-1].Seq+1 {
-					t.Fatalf("kept seqs %d then %d: not oldest-first", kept[j-1].Seq, kept[j].Seq)
+			want := seqs[len(seqs)-len(kept):]
+			for j, ev := range kept {
+				if ev.Seq != want[j] {
+					t.Fatalf("kept[%d].Seq = %d, want %d", j, ev.Seq, want[j])
 				}
 			}
 			// Tail(0) must return exactly the retained events.
-			tail := r.Tail(0)
-			if len(tail) != len(kept) {
+			if tail := r.Tail(0); len(tail) != len(kept) {
 				t.Fatalf("Tail(0) %d events, Events %d", len(tail), len(kept))
 			}
 		}

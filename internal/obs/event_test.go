@@ -69,26 +69,6 @@ func TestEventRingTail(t *testing.T) {
 	}
 }
 
-// TestEventRingResetClearsBacking pins the stale-tail retention fix:
-// after Reset the backing array must hold no event strings or label
-// slices from before.
-func TestEventRingResetClearsBacking(t *testing.T) {
-	r := NewEventRing(4)
-	for i := 0; i < 4; i++ {
-		r.Add(Event{Object: "big", Labels: []Label{L("k", "v")}})
-	}
-	r.Reset()
-	if r.Total() != 0 || r.Dropped() != 0 || len(r.Events()) != 0 {
-		t.Fatalf("reset ring not empty: total %d dropped %d kept %d", r.Total(), r.Dropped(), len(r.Events()))
-	}
-	backing := r.ring[:cap(r.ring)]
-	for i, ev := range backing {
-		if ev.Object != "" || ev.Labels != nil {
-			t.Fatalf("backing[%d] still pins %+v after Reset", i, ev)
-		}
-	}
-}
-
 func TestEventsJSONLRoundTrip(t *testing.T) {
 	in := []Event{
 		evAt(1, 10.5),
@@ -148,7 +128,6 @@ func TestEventAttributionSum(t *testing.T) {
 func TestNilEventRingNoOps(t *testing.T) {
 	var r *EventRing
 	r.Add(Event{})
-	r.Reset()
 	if r.Events() != nil || r.Tail(0) != nil || r.Total() != 0 || r.Dropped() != 0 {
 		t.Fatal("nil ring is not a no-op")
 	}

@@ -1,10 +1,11 @@
 // Package obs is the observability subsystem of the online serving
 // layer: counters, gauges and latency histograms keyed by metric name
-// plus labels, a bounded trace of drive operations, a hierarchical
-// virtual-time span tracer (span.go) with Chrome-trace and text
-// timeline exports (export.go), live introspection endpoints
-// (http.go), and deterministic text dumps in Prometheus exposition
-// format and expvar-style JSON.
+// plus labels, a hierarchical virtual-time span tracer (span.go) with
+// Chrome-trace and text timeline exports (export.go), wide
+// per-request events (event.go), the one bounded ring both stores sit
+// on (ring.go), live introspection endpoints (http.go), and
+// deterministic text dumps in Prometheus exposition format and
+// expvar-style JSON.
 //
 // Everything here is driven by the simulator's *virtual* clock — the
 // package never reads wall time, so a metrics dump is a pure function
@@ -242,10 +243,9 @@ type Registry struct {
 	counts map[string]*Counter
 	gauges map[string]*Gauge
 	hists  map[string]*Histogram
-	trace  *Trace
 }
 
-// NewRegistry returns an empty registry with no trace attached.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		counts: make(map[string]*Counter),
@@ -293,32 +293,11 @@ func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
 	return h
 }
 
-// AttachTrace gives the registry a bounded trace of the most recent
-// cap events (cap <= 0 removes the trace). Trace returns it.
-func (r *Registry) AttachTrace(cap int) *Trace {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if cap <= 0 {
-		r.trace = nil
-		return nil
-	}
-	r.trace = NewTrace(cap)
-	return r.trace
-}
-
-// Trace returns the attached trace, or nil.
-func (r *Registry) Trace() *Trace {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.trace
-}
-
 // Merge folds every metric of b into r: counters and histograms
 // accumulate, gauges sum. The sweeps label each cell's series with the
 // cell coordinates, so in practice gauge series never collide and
 // "sum" degenerates to "copy"; summing keeps Merge total and
-// deterministic for the series that do. b's trace is not merged
-// (traces are per-run diagnostics, not aggregates).
+// deterministic for the series that do.
 func (r *Registry) Merge(b *Registry) {
 	r.mergeKeyed(b, nil)
 }
@@ -419,75 +398,4 @@ type TraceEvent struct {
 	ElapsedSec float64
 	// Err classifies a failed operation ("" on success).
 	Err string
-}
-
-// Trace is a bounded ring of the most recent events. It is safe for
-// concurrent use.
-type Trace struct {
-	mu      sync.Mutex
-	ring    []TraceEvent
-	next    int
-	total   int
-	dropped int
-}
-
-// NewTrace returns a trace retaining the most recent cap events.
-func NewTrace(cap int) *Trace {
-	if cap < 1 {
-		cap = 1
-	}
-	return &Trace{ring: make([]TraceEvent, 0, cap)}
-}
-
-// Add records one event, evicting the oldest when full.
-func (t *Trace) Add(ev TraceEvent) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.total++
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, ev)
-		return
-	}
-	t.dropped++
-	t.ring[t.next] = ev
-	t.next = (t.next + 1) % len(t.ring)
-}
-
-// Events returns the retained events, oldest first.
-func (t *Trace) Events() []TraceEvent {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]TraceEvent, 0, len(t.ring))
-	out = append(out, t.ring[t.next:]...)
-	out = append(out, t.ring[:t.next]...)
-	return out
-}
-
-// Total returns how many events were ever added; Dropped how many of
-// those were evicted.
-func (t *Trace) Total() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
-// Dropped returns the number of evicted events.
-func (t *Trace) Dropped() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
-// Reset empties the ring and clears the whole backing array, so the
-// store does not pin evicted events' strings after the consumer is
-// done with them (the stale-tail retention class the admission
-// queue's compaction once had). Counters reset too.
-func (t *Trace) Reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	clear(t.ring[:cap(t.ring)])
-	t.ring = t.ring[:0]
-	t.next = 0
-	t.total = 0
-	t.dropped = 0
 }

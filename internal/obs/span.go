@@ -43,7 +43,7 @@ type Span struct {
 // DurationSec is the span's virtual duration.
 func (s Span) DurationSec() float64 { return s.EndSec - s.StartSec }
 
-// Tracer is a bounded, deterministic store of completed spans: a ring
+// Tracer is a bounded, deterministic store of completed spans: a Ring
 // retaining the most recent cap spans, in End order. It is safe for
 // concurrent use; within one single-threaded simulation the store
 // order (and every ID) is a pure function of the run. A nil *Tracer
@@ -51,21 +51,21 @@ func (s Span) DurationSec() float64 { return s.EndSec - s.StartSec }
 // whose methods all no-op, so instrumentation points never branch on
 // whether tracing is enabled.
 type Tracer struct {
-	mu      sync.Mutex
-	ring    []Span
-	next    int
-	total   int
-	dropped int
-	traces  uint64
+	spans  *Ring[Span]
+	mu     sync.Mutex
+	traces uint64
 }
 
 // NewTracer returns a tracer retaining the most recent capSpans
 // completed spans (minimum 1).
-func NewTracer(capSpans int) *Tracer {
-	if capSpans < 1 {
-		capSpans = 1
+func NewTracer(capSpans int) *Tracer { return &Tracer{spans: NewRing[Span](capSpans)} }
+
+// store returns the span ring, nil on a nil *Tracer.
+func (t *Tracer) store() *Ring[Span] {
+	if t == nil {
+		return nil
 	}
-	return &Tracer{ring: make([]Span, 0, capSpans)}
+	return t.spans
 }
 
 // StartTrace opens a new trace and returns its handle. Trace IDs are
@@ -85,73 +85,16 @@ func (t *Tracer) StartTrace() *TraceHandle {
 // oldest when full. Normal instrumentation goes through StartTrace /
 // Start / End; Record exists for replaying spans collected elsewhere
 // (the sweep cells) into a live tracer, and for tests.
-func (t *Tracer) Record(s Span) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.total++
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, s)
-		return
-	}
-	t.dropped++
-	t.ring[t.next] = s
-	t.next = (t.next + 1) % len(t.ring)
-}
+func (t *Tracer) Record(s Span) { t.store().Add(s) }
 
 // Spans returns the retained spans, oldest first.
-func (t *Tracer) Spans() []Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Span, 0, len(t.ring))
-	out = append(out, t.ring[t.next:]...)
-	out = append(out, t.ring[:t.next]...)
-	return out
-}
+func (t *Tracer) Spans() []Span { return t.store().Items() }
 
-// Total returns how many spans were ever recorded; Dropped how many
-// of those were evicted from the bounded store.
-func (t *Tracer) Total() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
+// Total returns how many spans were ever recorded.
+func (t *Tracer) Total() int64 { return t.store().Total() }
 
 // Dropped returns the number of evicted spans.
-func (t *Tracer) Dropped() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
-// Reset empties the ring and clears the whole backing array, so the
-// store does not pin evicted spans' names and attribute slices (the
-// stale-tail retention class the admission queue's compaction once
-// had). Span and trace counters reset too.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	clear(t.ring[:cap(t.ring)])
-	t.ring = t.ring[:0]
-	t.next = 0
-	t.total = 0
-	t.dropped = 0
-	t.traces = 0
-}
+func (t *Tracer) Dropped() int64 { return t.store().Dropped() }
 
 // TraceHandle allocates span IDs for one trace. It is safe for
 // concurrent use, though deterministic ID assignment of course

@@ -48,10 +48,10 @@ func FuzzSpanStore(f *testing.F) {
 			if len(kept) > effCap {
 				t.Fatalf("store holds %d spans, cap %d", len(kept), effCap)
 			}
-			if tr.Total() != len(recorded) {
+			if tr.Total() != int64(len(recorded)) {
 				t.Fatalf("total %d, recorded %d", tr.Total(), len(recorded))
 			}
-			if tr.Total() != len(kept)+tr.Dropped() {
+			if tr.Total() != int64(len(kept))+tr.Dropped() {
 				t.Fatalf("total %d != kept %d + dropped %d", tr.Total(), len(kept), tr.Dropped())
 			}
 			// Eviction is oldest-first: the retained spans must be

@@ -119,9 +119,7 @@ func Sweep(cfg SweepConfig) ([]SweepCell, error) {
 		rate := rates[sp.rateIdx]
 		policy := policies[sp.polIdx]
 		sched := scheds[sp.algIdx]
-		// One seed per cell coordinate: stable under sweep-order
-		// and worker-count changes.
-		seed := cfg.Seed*1000003 + int64(sp.rateIdx)*8191 + int64(sp.polIdx)*521 + int64(sp.algIdx)*131 + 7
+		seed := sim.CellSeed(cfg.Seed, sp.rateIdx, sp.polIdx, sp.algIdx)
 		gen := workload.NewUniform(segmentSpace, seed+1)
 		arrivals, err := PoissonStream(rate/3600, n, seed, gen)
 		if err != nil {

@@ -99,3 +99,14 @@ func firstBad[V int | float64](fields map[string]V, bad func(V) bool) (string, b
 	}
 	return first, found
 }
+
+// CellSeed is the one seed derivation of the cell sweeps: the seed of
+// the cell at axis indices (i, j, k) of a sweep seeded with base. A
+// cell's seed depends on its coordinates alone, so it is stable under
+// sweep-order and worker-count changes. An index a sweep leaves at 0
+// makes every cell along that axis replay the same stream — how the
+// cache, fleet and outage sweeps hold the workload fixed across their
+// policy, router and replica columns.
+func CellSeed(base int64, i, j, k int) int64 {
+	return base*1000003 + int64(i)*8191 + int64(j)*521 + int64(k)*131 + 7
+}

@@ -97,3 +97,21 @@ func TestCellsRejectsNegativeWorkers(t *testing.T) {
 		t.Fatal("Cells accepted -1 workers")
 	}
 }
+
+// CellSeed and trialSeed are the formulas every committed result was
+// generated with; a change to either would silently regenerate every
+// sweep with different streams.
+func TestSeedDerivationsArePinned(t *testing.T) {
+	for _, c := range []struct {
+		got, want int64
+	}{
+		{CellSeed(1, 0, 0, 0), 1000010},
+		{CellSeed(42, 3, 2, 1), 42*1000003 + 3*8191 + 2*521 + 131 + 7},
+		{CellSeed(-5, 0, 7, 0), -5*1000003 + 7*521 + 7},
+		{trialSeed(12345, 128, 9), 12345*1000003 + 128*1000003607 + 9},
+	} {
+		if c.got != c.want {
+			t.Errorf("seed %d, want %d", c.got, c.want)
+		}
+	}
+}

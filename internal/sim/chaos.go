@@ -128,9 +128,7 @@ func ChaosSweep(cfg ChaosConfig) ([]ChaosCell, error) {
 	}
 	cells, err := Cells(specs, cfg.Workers, func(sp cellSpec) (ChaosCell, error) {
 		faults := base.Scale(rates[sp.rateIdx])
-		// One injector seed per cell coordinate: stable under
-		// sweep-order and worker-count changes.
-		faults.Seed = cfg.Seed*1000003 + int64(sp.algIdx)*8191 + int64(sp.rateIdx)*131 + 7
+		faults.Seed = CellSeed(cfg.Seed, sp.algIdx, 0, sp.rateIdx)
 		res, err := BatchChain(ChainConfig{
 			Model:     model,
 			Scheduler: sp.sched,

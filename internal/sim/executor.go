@@ -421,8 +421,11 @@ func (ex *Executor) serveLoop(seg, readLen int, res *ExecResult, sp *obs.SpanHan
 			fails++
 			bs := ex.Trace.Start("backoff", sp, ex.TraceBase+d.Clock()).
 				AttrFloat("wait_sec", wait)
-			d.Wait(wait)
+			err = d.Wait(wait)
 			bs.End(ex.TraceBase + d.Clock())
+			if err != nil {
+				return vFailed, clk, err
+			}
 			res.RecoverySec += wait
 			continue
 		case errors.Is(err, drive.ErrLostPosition):

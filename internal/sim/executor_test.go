@@ -147,6 +147,22 @@ func TestExecutorRetriesTransientFaults(t *testing.T) {
 	}
 }
 
+// A backoff the drive cannot charge ends the execution with the
+// drive's error instead of retrying with no wait. Validate rejects
+// such a policy up front; an Executor built directly does not.
+func TestExecutorPassesOnABadBackoff(t *testing.T) {
+	m, d := execFixture(t, 1, fault.Config{TransientRate: 0.5, Seed: 7})
+	reqs := []int{100000, 5000, 400000, 250123, 611111, 42, 33333, 98765}
+	p, plan := schedulePlan(t, m, core.NewLOSS(), 0, reqs)
+	ex := &Executor{Drive: d, Policy: RetryPolicy{BackoffBaseSec: math.NaN()}}
+	if _, err := ex.Execute(p, plan); err == nil {
+		t.Fatal("NaN backoff executed without an error")
+	}
+	if d.Stats().WaitSec != 0 {
+		t.Fatalf("NaN backoff charged %g s of waits", d.Stats().WaitSec)
+	}
+}
+
 func TestExecutorRecoversLostPositionByReplanning(t *testing.T) {
 	m, d := execFixture(t, 1, fault.Config{LostRate: 0.15, Seed: 5})
 	reqs := []int{100000, 5000, 400000, 250123, 611111, 42, 33333, 98765, 77777, 1234}

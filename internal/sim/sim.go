@@ -304,16 +304,20 @@ func skipAtLength(s core.Scheduler, n, optMax int) bool {
 	return isOpt && n > optMax
 }
 
+// trialSeed is the request-set seed of one (length, trial) pair of the
+// figure experiments: distinct and deterministic per pair, so a run
+// is reproducible regardless of worker count.
+func trialSeed(base int64, n, trial int) int64 {
+	return base*1000003 + int64(n)*1000003607 + int64(trial)
+}
+
 // runTrial generates one request set and runs every active scheduler
 // on it, reusing the worker's Problem and accumulating into its
 // partials. The t0/cpu stopwatch brackets only the Schedule call, so
 // the Figure 6 CPU-per-schedule metric excludes request generation,
 // verification and estimation.
 func runTrial(cfg Config, gen func(int64) workload.Generator, n, trial int, active []core.Scheduler, local []AlgResult, p *core.Problem) error {
-	// A distinct, deterministic seed per (length, trial) pair keeps
-	// the experiment reproducible regardless of worker count.
-	seed := cfg.Seed*1000003 + int64(n)*1000003607 + int64(trial)
-	g := gen(seed)
+	g := gen(trialSeed(cfg.Seed, n, trial))
 	set := g.Batch(n + 1)
 	start := set[0]
 	if cfg.Start == BOTStart {

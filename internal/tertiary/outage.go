@@ -194,7 +194,7 @@ func OutageSweep(cfg OutageConfig) ([]OutageCell, error) {
 		// all R cells at one (MTTF, MTTR) coordinate replay
 		// the same arrivals and the same component-failure
 		// history.
-		seed := cfg.Seed*1000003 + int64(sp.mttfIdx)*8191 + int64(sp.mttrIdx)*521 + 7
+		seed := sim.CellSeed(cfg.Seed, sp.mttfIdx, sp.mttrIdx, 0)
 		stream, err := SweepStream(rate, n, seed, tapeCount, objects, 0)
 		if err != nil {
 			return OutageCell{}, fmt.Errorf("tertiary: outage arrivals: %w", err)

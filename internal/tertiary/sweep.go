@@ -159,9 +159,7 @@ func Sweep(cfg SweepConfig) ([]Cell, error) {
 		rate := rates[sp.rateIdx]
 		drives := driveCounts[sp.driveIdx]
 		limit := limits[sp.limitIdx]
-		// One seed per cell coordinate: stable under
-		// sweep-order and worker-count changes.
-		seed := cfg.Seed*1000003 + int64(sp.rateIdx)*8191 + int64(sp.driveIdx)*521 + int64(sp.limitIdx)*131 + 7
+		seed := sim.CellSeed(cfg.Seed, sp.rateIdx, sp.driveIdx, sp.limitIdx)
 		stream, err := SweepStream(rate, n, seed, tapeCount, objects, 0)
 		if err != nil {
 			return Cell{}, fmt.Errorf("tertiary: sweep arrivals %g/h: %w", rate, err)
