@@ -47,12 +47,12 @@ race:
 	$(GO) test -race ./internal/locate/... ./internal/geometry/... ./internal/sim/... ./internal/drive/... ./internal/core/... ./internal/server/... ./internal/obs/... ./internal/tertiary/... ./internal/hsm/... ./internal/fleet/...
 
 # Run the performance-critical benchmarks with allocation reporting:
-# the scheduler suite, the locate-model fast path, the staging-tier
-# cell, and the root-level figure benchmarks that exercise the whole
-# pipeline.
+# the scheduler suite, the locate-model fast path, the store build
+# (one cartridge and its models), the staging-tier cell, and the
+# root-level figure benchmarks that exercise the whole pipeline.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkScheduler' -benchmem ./internal/core | tee $(BENCH_TXT)
-	$(GO) test -run '^$$' -bench 'BenchmarkCostMatrix' -benchmem ./internal/locate | tee -a $(BENCH_TXT)
+	$(GO) test -run '^$$' -bench 'BenchmarkCostMatrix|BenchmarkCartridgeLoad' -benchmem ./internal/locate | tee -a $(BENCH_TXT)
 	$(GO) test -run '^$$' -bench 'BenchmarkTierCell' -benchmem ./internal/hsm | tee -a $(BENCH_TXT)
 	$(GO) test -run '^$$' -bench 'BenchmarkFig4RandomStart|BenchmarkLocateTime' -benchmem . | tee -a $(BENCH_TXT)
 
@@ -80,14 +80,15 @@ profile:
 		-cpuprofile results/pprof/cpu.out -memprofile results/pprof/heap.out \
 		-o results/pprof/tertiary.test ./internal/tertiary
 
-# Short fuzzing passes over the executor's replan path, the server's
-# admission queue, the library batcher, the sweeps' store layout, the
+# Short fuzzing passes over the locate model's section lookup, the
+# executor's replan path, the server's admission queue, the library batcher, the sweeps' store layout, the
 # bounded ring and the span store and wide-event ring built on it, the
 # SLO sliding windows, the staging cache's eviction policies, the fleet
 # routing tier, and dense and sparse LOSS against their eager full-sort
 # reference — the state machines and builders arbitrary inputs can
 # reach. CI runs this on every PR; locally, raise FUZZTIME to dig.
 fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzSectionIndex$$' -fuzztime $(FUZZTIME) ./internal/locate/
 	$(GO) test -run '^$$' -fuzz '^FuzzExecutorReplan$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzAdmissionQueue$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzLibraryBatcher$$' -fuzztime $(FUZZTIME) ./internal/tertiary/

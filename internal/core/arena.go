@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"sync"
 
 	"serpentine/internal/geometry"
 )
@@ -10,9 +11,70 @@ import (
 // calls at the same batch size allocate (almost) nothing. Scheduler
 // values are stateless and shared across goroutines — the simulator
 // runs one instance from many workers — so the working state lives in
-// sync.Pool-managed arenas rather than on the scheduler structs.
-// Steady state per Schedule call is a single allocation: the returned
-// Plan.Order.
+// arenas taken from and returned to a free list per scheduler rather
+// than on the scheduler structs. Steady state per Schedule call is a
+// single allocation: the returned Plan.Order.
+//
+// The free list is not a sync.Pool. A pool drops its contents at every
+// garbage collection, so when the live heap is small and collections
+// are frequent, most Schedule calls find the pool empty and regrow
+// their arena from nothing, and that garbage triggers the next
+// collection sooner. The free list keeps its arenas across
+// collections instead. It is bounded: it never holds more arenas than
+// the most Schedule calls that ran at once, nor more than
+// maxFreeArenas, and it drops an arena whose tables exceed
+// maxArenaBytes, so one outsized batch does not pin its matrix for the
+// life of the process.
+
+// maxFreeArenas bounds each free list's length.
+const maxFreeArenas = 16
+
+// maxArenaBytes is the largest table footprint a free list keeps: a
+// dense LOSS matrix of about 2,900 cities.
+const maxArenaBytes = 64 << 20
+
+// arena is a scheduler's reusable working state.
+type arena interface {
+	// tableBytes is the size of the arena's tables that grow faster
+	// than linearly in the batch size (cost matrices, candidate
+	// lists, Held-Karp tables): the part that can grow large.
+	tableBytes() int
+}
+
+// arenaList is a bounded free list of arenas of one type.
+type arenaList[A arena] struct {
+	fresh func() A
+	mu    sync.Mutex
+	free  []A
+}
+
+// get returns a free arena, or a fresh one when none is free.
+func (l *arenaList[A]) get() A {
+	l.mu.Lock()
+	if n := len(l.free); n > 0 {
+		a := l.free[n-1]
+		var zero A
+		l.free[n-1] = zero
+		l.free = l.free[:n-1]
+		l.mu.Unlock()
+		return a
+	}
+	l.mu.Unlock()
+	return l.fresh()
+}
+
+// put returns an arena for reuse, or drops it when the list is full
+// or the arena is larger than maxArenaBytes.
+func (l *arenaList[A]) put(a A) {
+	if a.tableBytes() > maxArenaBytes {
+		return
+	}
+	l.mu.Lock()
+	if len(l.free) < maxFreeArenas {
+		l.free = append(l.free, a)
+	}
+	l.mu.Unlock()
+}
 
 // grown returns s resized to length n, reusing the backing array when
 // capacity allows. Contents are unspecified.
@@ -29,7 +91,7 @@ func sortInts(s []int) { slices.Sort(s) }
 // cellIndex is the dense cell -> bucket lookup SCAN and WEAVE share:
 // a slice over all (track, physical section) cells holding the bucket
 // index at that cell, -1 when empty. Entries are restored to -1 after
-// every use, so a pooled arena's table is always clean on entry.
+// every use, so a reused arena's table is always clean on entry.
 type cellIndex []int32
 
 // sized returns the table with at least n valid (-1 or in-use)

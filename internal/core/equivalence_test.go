@@ -54,7 +54,7 @@ func TestSchedulerFastPathEquivalence(t *testing.T) {
 }
 
 // TestSchedulerRerunDeterminism schedules every instance twice
-// through the pooled arenas: a dirty arena must never leak state into
+// through the reused arenas: a dirty arena must never leak state into
 // the next plan (same problem in, same plan out).
 func TestSchedulerRerunDeterminism(t *testing.T) {
 	m := testModel(t, 1)

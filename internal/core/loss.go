@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"serpentine/internal/locate"
 )
@@ -53,7 +52,7 @@ func (l LOSS) Name() string {
 const maxLOSSCities = 8192
 
 // lossArena is the reusable working state of one dense LOSS run; see
-// arena.go for the pooling rationale.
+// arena.go for why arenas are reused.
 type lossArena struct {
 	state lossState
 	segs  []int // request copy backing the group subslices
@@ -66,7 +65,9 @@ type lossArena struct {
 	back  []int32
 }
 
-var lossPool = sync.Pool{New: func() any { return new(lossArena) }}
+var lossArenas = arenaList[*lossArena]{fresh: func() *lossArena { return new(lossArena) }}
+
+func (a *lossArena) tableBytes() int { return 8*cap(a.w) + 4*cap(a.back) }
 
 // Schedule runs the greedy loss selection over the request groups.
 func (l LOSS) Schedule(p *Problem) (Plan, error) {
@@ -76,7 +77,7 @@ func (l LOSS) Schedule(p *Problem) (Plan, error) {
 	if len(p.Requests) == 0 {
 		return Plan{}, nil
 	}
-	a := lossPool.Get().(*lossArena)
+	a := lossArenas.get()
 	var groups []group
 	if l.threshold > 0 {
 		a.segs = append(a.segs[:0], p.Requests...)
@@ -97,19 +98,19 @@ func (l LOSS) Schedule(p *Problem) (Plan, error) {
 		// The dense matrix would be too large; hand the batch to the
 		// sparse-graph variant, which solves the same instance in
 		// linear memory (the groups rebuild from p.Requests).
-		lossPool.Put(a)
+		lossArenas.put(a)
 		return SparseLOSS{Threshold: l.threshold}.Schedule(p)
 	}
 	order, err := lossPath(p, groups, a)
 	if err != nil {
-		lossPool.Put(a)
+		lossArenas.put(a)
 		return Plan{}, err
 	}
 	out := make([]int, 0, len(p.Requests))
 	for _, g := range order {
 		out = append(out, g.segs...)
 	}
-	lossPool.Put(a)
+	lossArenas.put(a)
 	return Plan{Order: out}, nil
 }
 

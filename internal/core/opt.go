@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 )
 
 // OPT computes a provably minimal schedule. The paper models the
@@ -56,7 +55,9 @@ type optArena struct {
 	parent []int8
 }
 
-var optPool = sync.Pool{New: func() any { return new(optArena) }}
+var optArenas = arenaList[*optArena]{fresh: func() *optArena { return new(optArena) }}
+
+func (a *optArena) tableBytes() int { return 8*(cap(a.w)+cap(a.dp)) + cap(a.parent) }
 
 // Schedule solves the instance exactly.
 func (o OPT) Schedule(p *Problem) (Plan, error) {
@@ -71,8 +72,8 @@ func (o OPT) Schedule(p *Problem) (Plan, error) {
 		return Plan{}, nil
 	}
 
-	a := optPool.Get().(*optArena)
-	defer optPool.Put(a)
+	a := optArenas.get()
+	defer optArenas.put(a)
 
 	// Edge weights. Read times are order-independent and excluded.
 	start := grown(a.start, n) // start[j]: head start -> request j

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"serpentine/internal/geometry"
-)
+import "serpentine/internal/geometry"
 
 // Scan is the paper's SCAN (elevator) algorithm for serpentine tape
 // (Figure 2). The head shuttles up the physical length of the tape
@@ -29,7 +25,9 @@ type scanArena struct {
 	b buckets
 }
 
-var scanPool = sync.Pool{New: func() any { return new(scanArena) }}
+var scanArenas = arenaList[*scanArena]{fresh: func() *scanArena { return new(scanArena) }}
+
+func (a *scanArena) tableBytes() int { return 0 }
 
 // Schedule implements the Figure 2 pseudocode.
 func (Scan) Schedule(p *Problem) (Plan, error) {
@@ -43,7 +41,7 @@ func (Scan) Schedule(p *Problem) (Plan, error) {
 	params := view.Params()
 	s := params.SectionsPerTrack
 
-	a := scanPool.Get().(*scanArena)
+	a := scanArenas.get()
 	b := &a.b
 	b.build(view, p.Requests)
 
@@ -79,6 +77,6 @@ func (Scan) Schedule(p *Problem) (Plan, error) {
 		}
 	}
 	b.release()
-	scanPool.Put(a)
+	scanArenas.put(a)
 	return Plan{Order: order}, nil
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"serpentine/internal/locate"
-)
+import "serpentine/internal/locate"
 
 // SLTF is the paper's shortest-locate-time-first algorithm: the
 // serpentine analogue of a disk's shortest-seek-time-first. Starting
@@ -83,7 +79,9 @@ type sltfArena struct {
 	rem   []int32
 }
 
-var sltfPool = sync.Pool{New: func() any { return new(sltfArena) }}
+var sltfArenas = arenaList[*sltfArena]{fresh: func() *sltfArena { return new(sltfArena) }}
+
+func (a *sltfArena) tableBytes() int { return 8 * cap(a.w) }
 
 // sltfMatrixLimit caps the dense (k+1)×k cost matrix of the batched
 // greedy at 32 MB; batches coalescing to more groups than that fall
@@ -99,7 +97,7 @@ func (s SLTF) Schedule(p *Problem) (Plan, error) {
 	if len(p.Requests) == 0 {
 		return Plan{}, nil
 	}
-	a := sltfPool.Get().(*sltfArena)
+	a := sltfArenas.get()
 	a.segs = append(a.segs[:0], p.Requests...)
 	sortInts(a.segs)
 	if s.threshold > 0 {
@@ -119,7 +117,7 @@ func (s SLTF) Schedule(p *Problem) (Plan, error) {
 	for _, g := range order {
 		out = append(out, g.segs...)
 	}
-	sltfPool.Put(a)
+	sltfArenas.put(a)
 	return Plan{Order: out}, nil
 }
 

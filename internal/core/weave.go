@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sync"
 
 	"serpentine/internal/geometry"
 )
@@ -156,7 +155,9 @@ type weaveArena struct {
 	pb patternBuilder
 }
 
-var weavePool = sync.Pool{New: func() any { return new(weaveArena) }}
+var weaveArenas = arenaList[*weaveArena]{fresh: func() *weaveArena { return new(weaveArena) }}
+
+func (a *weaveArena) tableBytes() int { return 0 }
 
 // Schedule walks the weave pattern.
 func (Weave) Schedule(p *Problem) (Plan, error) {
@@ -170,7 +171,7 @@ func (Weave) Schedule(p *Problem) (Plan, error) {
 	params := view.Params()
 	s := params.SectionsPerTrack
 
-	a := weavePool.Get().(*weaveArena)
+	a := weaveArenas.get()
 	b := &a.b
 	b.build(view, p.Requests)
 
@@ -248,6 +249,6 @@ func (Weave) Schedule(p *Problem) (Plan, error) {
 		}
 	}
 	b.release()
-	weavePool.Put(a)
+	weaveArenas.put(a)
 	return Plan{Order: order}, nil
 }

@@ -629,9 +629,13 @@ func (f *Fleet) Run(cfg RunConfig, stream []tertiary.Request) ([]ShardResult, Me
 		// log is a pure function of the run, identical at any worker
 		// count. Per-shard Seqs survive the fold (the caller's ring only
 		// stamps zero Seqs), so (Shard, Seq) still names the source slot.
-		var all []obs.Event
+		n := 0
 		for _, r := range rings {
-			all = append(all, r.Events()...)
+			n += int(r.Total() - r.Dropped())
+		}
+		all := make([]obs.Event, 0, n)
+		for _, r := range rings {
+			all = r.AppendEvents(all)
 		}
 		sort.Slice(all, func(i, j int) bool { return eventBefore(all[i], all[j]) })
 		for _, ev := range all {

@@ -235,6 +235,9 @@ func (p Params) Validate() error {
 		return fmt.Errorf("geometry: %s: SectionCountJitter must be >= 0, got %d", p.Name, p.SectionCountJitter)
 	case p.BadSpotMaxLoss < 0:
 		return fmt.Errorf("geometry: %s: BadSpotMaxLoss must be >= 0, got %d", p.Name, p.BadSpotMaxLoss)
+	case float64(p.Tracks)*float64(p.SectionsPerTrack)*(float64(p.SegmentsPerSection)+float64(p.SectionCountJitter)) > math.MaxInt32:
+		return fmt.Errorf("geometry: %s: %d tracks x %d sections x (%d+%d) segments exceeds the %d-segment address space",
+			p.Name, p.Tracks, p.SectionsPerTrack, p.SegmentsPerSection, p.SectionCountJitter, math.MaxInt32)
 	case !(p.DensityJitterFrac >= 0 && p.DensityJitterFrac < 0.5):
 		return fmt.Errorf("geometry: %s: DensityJitterFrac must be in [0,0.5), got %g", p.Name, p.DensityJitterFrac)
 	case !(p.PersonalityFrac >= 0 && p.PersonalityFrac < 0.5):

@@ -50,6 +50,9 @@ func TestValidateRejectsBadFields(t *testing.T) {
 		{func(p *Params) { p.OverheadSec = math.NaN() }, "OverheadSec"},
 		{func(p *Params) { p.OverheadSec = -1 }, "OverheadSec"},
 		{func(p *Params) { p.OverheadSec = math.Inf(1) }, "OverheadSec"},
+		// Segment numbers are held in 32 bits by the section lookup.
+		{func(p *Params) { p.SegmentsPerSection = math.MaxInt32 / 100 }, "address space"},
+		{func(p *Params) { p.SectionCountJitter = math.MaxInt }, "address space"},
 	}
 	for _, c := range cases {
 		p := DLT4000()

@@ -141,6 +141,7 @@ func Generate(params Params, serial int64) (*Tape, error) {
 		v.tracks[t] = tv
 	}
 	v.total = lbn
+	v.sec = newSectionLookup(v.tracks, v.total)
 	return &Tape{
 		params: params, serial: serial, view: v,
 		readSkew: readSkew, scanSkew: scanSkew, overhead: overhead,

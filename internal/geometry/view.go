@@ -2,7 +2,8 @@ package geometry
 
 import (
 	"fmt"
-	"sync"
+	"math"
+	"math/bits"
 )
 
 // TrackView is the reading-order geometry of one track. Sections are
@@ -50,12 +51,60 @@ type View struct {
 	params Params
 	tracks []TrackView
 	total  int
+	// sec finds the section holding a segment for Place and
+	// SectionIndex. It depends only on the track layout, so views
+	// derived by WithParams share it.
+	sec SectionLookup
+}
 
-	// secIdx[lbn] is track*SectionsPerTrack + logical section, built
-	// lazily once so Place and SectionIndex run without binary
-	// searches. 4 bytes per segment (~2.4 MB for a DLT4000 view).
-	idxOnce sync.Once
-	secIdx  []int32
+// SectionLookup maps a segment number to its dense (track, logical
+// section) index, track*SectionsPerTrack + logical section, in O(1)
+// time and O(sections) memory. Segment numbers run track-major
+// through the logical sections, so dense indices ascend with the
+// segment number. The tape is cut into buckets of 2^shift segments,
+// no wider than its narrowest section, so a bucket meets at most two
+// sections. Each bucket packs the section holding its first segment
+// (low 32 bits) with the first segment of the next section (high 32
+// bits; past the bucket's end when no section starts inside it), so a
+// lookup is one load and one comparison. About 20 KB for a DLT4000
+// tape.
+type SectionLookup struct {
+	bucket []uint64
+	shift  uint
+}
+
+// newSectionLookup indexes a track layout holding total segments.
+func newSectionLookup(tracks []TrackView, total int) SectionLookup {
+	var ends []int // ends[i] is one past the last segment of section i
+	narrowest := total
+	for t := range tracks {
+		tv := &tracks[t]
+		for l := 0; l < tv.Sections(); l++ {
+			ends = append(ends, tv.BoundLBN[l+1])
+			narrowest = min(narrowest, tv.SectionCount(l))
+		}
+	}
+	s := SectionLookup{shift: uint(bits.Len(uint(narrowest)) - 1)}
+	s.bucket = make([]uint64, (total+1<<s.shift-1)>>s.shift)
+	i := 0
+	for b := range s.bucket {
+		for ends[i] <= b<<s.shift {
+			i++
+		}
+		s.bucket[b] = uint64(ends[i])<<32 | uint64(i)
+	}
+	return s
+}
+
+// Index returns the dense section index of segment lbn. lbn must be
+// in range; callers that take outside input check it first.
+func (s *SectionLookup) Index(lbn int) int {
+	e := s.bucket[lbn>>s.shift]
+	i := int(uint32(e))
+	if lbn >= int(e>>32) {
+		i++
+	}
+	return i
 }
 
 // Params returns the format profile the view was built with.
@@ -66,8 +115,12 @@ func (v *View) Params() Params { return v.params }
 // cartridge's hidden personality (slightly skewed transport speeds)
 // to the true geometry.
 func (v *View) WithParams(p Params) *View {
-	return &View{params: p, tracks: v.tracks, total: v.total}
+	return &View{params: p, tracks: v.tracks, total: v.total, sec: v.sec}
 }
+
+// Lookup returns the view's segment-to-section index. It shares the
+// view's storage; the locate model keeps a copy on its hot path.
+func (v *View) Lookup() SectionLookup { return v.sec }
 
 // Segments returns the total number of segments on the tape.
 func (v *View) Segments() int { return v.total }
@@ -100,35 +153,13 @@ type Placement struct {
 	Pos float64
 }
 
-// sectionTable returns the dense segment -> (track, logical section)
-// index, building it on first use. The table depends only on the
-// track layout, which is immutable, so concurrent builds via the Once
-// are safe and derived views (WithParams) simply rebuild their own.
-func (v *View) sectionTable() []int32 {
-	v.idxOnce.Do(func() {
-		spt := v.params.SectionsPerTrack
-		tab := make([]int32, v.total)
-		for t := range v.tracks {
-			tv := &v.tracks[t]
-			for l := 0; l < tv.Sections(); l++ {
-				idx := int32(t*spt + l)
-				for lbn := tv.BoundLBN[l]; lbn < tv.BoundLBN[l+1]; lbn++ {
-					tab[lbn] = idx
-				}
-			}
-		}
-		v.secIdx = tab
-	})
-	return v.secIdx
-}
-
 // Place returns the placement of segment lbn. It panics if lbn is out
 // of range; schedulers validate requests before calling.
 func (v *View) Place(lbn int) Placement {
 	if lbn < 0 || lbn >= v.total {
 		panic(fmt.Sprintf("geometry: segment %d out of range [0,%d)", lbn, v.total))
 	}
-	idx := int(v.sectionTable()[lbn])
+	idx := v.sec.Index(lbn)
 	spt := v.params.SectionsPerTrack
 	t, l := idx/spt, idx%spt
 	tv := &v.tracks[t]
@@ -209,7 +240,7 @@ func (v *View) SectionIndex(lbn int) int {
 	if lbn < 0 || lbn >= v.total {
 		panic(fmt.Sprintf("geometry: segment %d out of range [0,%d)", lbn, v.total))
 	}
-	return int(v.sectionTable()[lbn])
+	return v.sec.Index(lbn)
 }
 
 // SectionStartLBN returns the first LBN of logical section l of track
@@ -254,6 +285,9 @@ func (k *KeyPointTable) Validate() error {
 	}
 	if prevEnd != k.Total {
 		return fmt.Errorf("geometry: boundaries end at %d, total says %d", prevEnd, k.Total)
+	}
+	if k.Total > math.MaxInt32 {
+		return fmt.Errorf("geometry: %d segments exceeds the %d-segment address space", k.Total, math.MaxInt32)
 	}
 	return nil
 }
@@ -300,5 +334,6 @@ func (k *KeyPointTable) View() (*View, error) {
 		}
 		v.tracks[t] = tv
 	}
+	v.sec = newSectionLookup(v.tracks, v.total)
 	return v, nil
 }

@@ -198,8 +198,6 @@ type Tier struct {
 
 	cache    *Cache
 	segBytes int64
-	byID     map[string]tertiary.Object
-	byTape   map[int64][]tertiary.Object // layout order per cartridge
 
 	installs  installHeap
 	harvested int
@@ -296,14 +294,6 @@ func NewTier(lib *tertiary.Library, cfg Config) (*Tier, error) {
 	t.residentG = reg.Gauge("cache_bytes_resident", lc.Labels...)
 	t.hitHist = reg.Histogram("cache_hit_seconds", lc.Labels...)
 
-	objs := lib.Objects()
-	t.byID = make(map[string]tertiary.Object, len(objs))
-	t.byTape = make(map[int64][]tertiary.Object)
-	for _, o := range objs {
-		t.byID[o.ID] = o
-		t.byTape[o.Tape] = append(t.byTape[o.Tape], o)
-	}
-
 	r, err := lib.StartRun()
 	if err != nil {
 		return nil, err
@@ -386,7 +376,7 @@ func (t *Tier) apply(in install) {
 // library would have merged into one motion are the segments worth
 // keeping once the motion was paid for.
 func (t *Tier) prefetch(o tertiary.Object) {
-	objs := t.byTape[o.Tape]
+	objs := t.lib.TapeObjects(o.Tape)
 	idx := sort.Search(len(objs), func(i int) bool {
 		if objs[i].Start != o.Start {
 			return objs[i].Start >= o.Start
@@ -477,7 +467,7 @@ func (t *Tier) OfferRouted(req tertiary.Request, route string) error {
 
 // hit completes the request off the staging disk.
 func (t *Tier) hit(req tertiary.Request, route string) {
-	obj := t.byID[req.ObjectID]
+	obj, _ := t.lib.Object(req.ObjectID)
 	transfer := float64(t.objBytes(obj)) / t.disk.BytesPerSec
 	svc := t.disk.LatencySec + transfer
 	done := req.Arrival + svc
@@ -536,7 +526,7 @@ func (t *Tier) Write(id string, at float64) (float64, error) {
 	if t.finished {
 		return 0, fmt.Errorf("hsm: write after Finish")
 	}
-	obj, ok := t.byID[id]
+	obj, ok := t.lib.Object(id)
 	if !ok {
 		return 0, fmt.Errorf("hsm: write of unknown object %q", id)
 	}

@@ -35,29 +35,55 @@ func FillCostMatrix(c Cost, buf []float64, srcs, dsts []int) {
 	}
 }
 
-// CostMatrix implements MatrixCost: one row per source, with the
-// source's placement hoisted out of the inner loop.
+// costBlock is how many destinations CostMatrix resolves at a time,
+// into a stack buffer, so the fill allocates nothing.
+const costBlock = 256
+
+// endpoint is a segment resolved to its section constants and
+// physical position.
+type endpoint struct {
+	lbn int
+	pos float64
+	sec *secInfo
+}
+
+func (m *Model) endpoint(lbn int) endpoint {
+	s := &m.secs[m.sec.Index(lbn)]
+	return endpoint{lbn: lbn, pos: s.pos(lbn), sec: s}
+}
+
+// CostMatrix implements MatrixCost. Each destination is resolved once
+// per call, in blocks of costBlock, and each source once per block;
+// the cells are then the fast path of LocateTime on the resolved
+// endpoints.
 func (m *Model) CostMatrix(buf []float64, srcs, dsts []int) {
 	k := len(dsts)
-	for i, s := range srcs {
-		m.locateRow(buf[i*k:(i+1)*k], s, dsts)
+	var blk [costBlock]endpoint
+	for j0 := 0; j0 < k; j0 += costBlock {
+		ds := blk[:min(costBlock, k-j0)]
+		for j := range ds {
+			ds[j] = m.endpoint(dsts[j0+j])
+		}
+		for i, s := range srcs {
+			off := i*k + j0
+			m.locateRow(buf[off:off+len(ds)], m.endpoint(s), ds)
+		}
 	}
 }
 
-// locateRow fills row[j] = LocateTime(src, dsts[j]). It is the fast
-// path of LocateTime with the src-side lookups done once.
-func (m *Model) locateRow(row []float64, src int, dsts []int) {
-	ss := &m.secs[m.secOf[src]]
-	sp := m.pos[src]
+// locateRow fills row[j] = LocateTime(src, dsts[j]) from resolved
+// endpoints, by the same expressions as LocateTime.
+func (m *Model) locateRow(row []float64, src endpoint, dsts []endpoint) {
+	ss, sp := src.sec, src.pos
 	const eps = 1e-12
-	for j, dst := range dsts {
-		if src == dst {
+	for j := range dsts {
+		d := &dsts[j]
+		if src.lbn == d.lbn {
 			row[j] = 0
 			continue
 		}
-		ds := &m.secs[m.secOf[dst]]
-		dp := m.pos[dst]
-		if ss.track == ds.track && dst > src && ds.section <= ss.section+2 {
+		ds, dp := d.sec, d.pos
+		if ss.track == ds.track && d.lbn > src.lbn && ds.section <= ss.section+2 {
 			row[j] = m.p.ReadSecPerSection * math.Abs(dp-sp)
 			continue
 		}
@@ -66,13 +92,12 @@ func (m *Model) locateRow(row []float64, src int, dsts []int) {
 		readDist := math.Abs(dp - landing)
 		scanDir := ss.dir
 		if scanDist > eps {
+			scanDir = -1
 			if landing > sp {
 				scanDir = 1
-			} else {
-				scanDir = -1
 			}
 		}
-		var reversals float64
+		reversals := 0
 		if scanDir != ss.dir {
 			reversals++
 		}
@@ -80,7 +105,7 @@ func (m *Model) locateRow(row []float64, src int, dsts []int) {
 			reversals++
 		}
 		t := m.p.OverheadSec +
-			reversals*m.p.ReverseSec +
+			float64(reversals)*m.p.ReverseSec +
 			m.p.ScanSecPerSection*scanDist +
 			m.p.ReadSecPerSection*readDist
 		if ss.track != ds.track {

@@ -2,6 +2,7 @@ package locate
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -18,7 +19,7 @@ func cartridgeCount() int {
 // Many goroutines loading one key must share one Cartridge, one tape,
 // one nominal model and one truth model, and evaluate the shared
 // models concurrently. Run under -race (make race) this also checks
-// the lazy truth build.
+// that evaluating a shared model writes nothing.
 func TestLoadSharesOneCartridgeAcrossGoroutines(t *testing.T) {
 	const n = 16
 	p := geometry.Tiny()
@@ -118,5 +119,41 @@ func TestLoadRejectsInvalidProfileWithoutStoring(t *testing.T) {
 	}
 	if after := cartridgeCount(); after != before {
 		t.Fatalf("intern grew from %d to %d entries on invalid profiles", before, after)
+	}
+}
+
+// A cartridge costs O(sections), not O(segments): building one
+// DLT4000 cartridge (622k segments, 896 sections) with both of its
+// models and placing a segment on each view allocates well under
+// 1 MiB. Per-segment tables would cost about 17 MiB.
+func TestCartridgeFootprint(t *testing.T) {
+	p := geometry.DLT4000()
+	const serial = 914_207 // loaded by no other test
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, err := Load(p, serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := c.Model().Segments() - 1
+	c.Tape().View().Place(last)
+	c.Truth().View().Place(last)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("building one DLT4000 cartridge allocated %d bytes, want < 1 MiB", got)
+	}
+}
+
+// BenchmarkCartridgeLoad measures building one DLT4000 cartridge —
+// generating the tape and deriving its nominal and truth models —
+// outside the intern, which would otherwise return the first build.
+// It is the store-build rung of the cost ledger.
+func BenchmarkCartridgeLoad(b *testing.B) {
+	p := geometry.DLT4000()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := build(p, int64(i)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

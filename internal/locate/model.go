@@ -43,25 +43,25 @@ import (
 //
 // A Model is immutable and safe for concurrent use.
 //
-// Construction precomputes per-segment physical positions and
-// per-section key-point data, so LocateTime and ReadTime are
-// table-driven O(1) lookups with no placement searches or piecewise
-// decomposition per call. The tables cost about 10 bytes per segment
-// (~7 MB for a DLT4000 cartridge). The original decomposition is
-// retained for Classify, Maneuver and the Reference estimator the
-// equivalence tests compare against.
+// Construction precomputes the per-section constants of the piecewise
+// decomposition, so LocateTime and ReadTime are O(1) lookups with no
+// placement searches or piecewise decomposition per call. A segment's
+// physical position is affine within its section and is evaluated
+// from the section's constants by the same expression View.Place
+// uses. The tables cost O(sections): 56 bytes per section (50 KB for
+// a DLT4000's 896), plus the view's section lookup, which the model
+// shares. The original decomposition is retained for Classify,
+// Maneuver and the Reference estimator the equivalence tests compare
+// against.
 type Model struct {
 	view *geometry.View
 	p    geometry.Params
 
-	// pos[lbn] is the physical tape position of segment lbn, exactly
-	// as View.Place computes it.
-	pos []float64
-	// secOf[lbn] indexes secs: track*SectionsPerTrack + logical
-	// section.
-	secOf []int32
+	// sec maps a segment to its index in secs.
+	sec geometry.SectionLookup
 	// secs holds the per-(track, logical section) constants of the
-	// locate decomposition.
+	// locate decomposition, indexed track*SectionsPerTrack + logical
+	// section.
 	secs []secInfo
 }
 
@@ -71,8 +71,15 @@ type Model struct {
 type secInfo struct {
 	track   int32
 	section int32
+	// first is the section's first segment.
+	first int32
 	// dir is +1 for forward tracks, -1 for reverse, matching dirSign.
-	dir float64
+	dir int32
+	// count is the section's segment count.
+	count float64
+	// pos0 and pos1 are the physical positions of the section's
+	// reading-order start and end (BoundPos[l] and BoundPos[l+1]).
+	pos0, pos1 float64
 	// landing is the physical position of the landing key point for
 	// destinations in this section: two section boundaries before the
 	// destination in reading order, or the beginning of the track for
@@ -82,42 +89,44 @@ type secInfo struct {
 	readTime float64
 }
 
+// pos returns the physical position of segment lbn of the section,
+// by the expression View.Place evaluates, so bit-for-bit equal to it.
+func (s *secInfo) pos(lbn int) float64 {
+	frac := (float64(lbn-int(s.first)) + 0.5) / s.count
+	return s.pos0 + frac*(s.pos1-s.pos0)
+}
+
 // NewModel returns a model over the given geometry.
 func NewModel(view *geometry.View) *Model {
-	m := &Model{view: view, p: view.Params()}
+	m := &Model{view: view, p: view.Params(), sec: view.Lookup()}
 	m.buildTables()
 	return m
 }
 
-// buildTables precomputes the fast-path lookup tables. Every float is
+// buildTables precomputes the per-section constants. Every float is
 // produced by the same expression the reference path evaluates, so
 // the fast path is bit-for-bit identical to it.
 func (m *Model) buildTables() {
 	spt := m.p.SectionsPerTrack
-	m.pos = make([]float64, m.view.Segments())
-	m.secOf = make([]int32, m.view.Segments())
 	m.secs = make([]secInfo, m.view.Tracks()*spt)
 	for t := 0; t < m.view.Tracks(); t++ {
 		tv := m.view.Track(t)
 		for l := 0; l < tv.Sections(); l++ {
-			idx := t*spt + l
-			si := &m.secs[idx]
+			si := &m.secs[t*spt+l]
 			si.track = int32(t)
 			si.section = int32(l)
-			si.dir = dirSign(tv.Dir)
+			si.first = int32(tv.BoundLBN[l])
+			count := tv.SectionCount(l)
+			si.count = float64(count)
+			si.pos0, si.pos1 = tv.BoundPos[l], tv.BoundPos[l+1]
+			si.dir = int32(dirSign(tv.Dir))
 			if l <= 1 {
 				si.landing = tv.BoundPos[0]
 			} else {
 				si.landing = tv.BoundPos[l-1]
 			}
-			count := tv.SectionCount(l)
 			span := math.Abs(tv.BoundPos[l+1] - tv.BoundPos[l])
 			si.readTime = m.p.ReadSecPerSection * span / float64(count)
-			for lbn := tv.BoundLBN[l]; lbn < tv.BoundLBN[l+1]; lbn++ {
-				frac := (float64(lbn-tv.BoundLBN[l]) + 0.5) / float64(count)
-				m.pos[lbn] = tv.BoundPos[l] + frac*(tv.BoundPos[l+1]-tv.BoundPos[l])
-				m.secOf[lbn] = int32(idx)
-			}
 		}
 	}
 }
@@ -332,9 +341,9 @@ func (m *Model) LocateTime(src, dst int) float64 {
 	if src == dst {
 		return 0
 	}
-	ss := &m.secs[m.secOf[src]]
-	ds := &m.secs[m.secOf[dst]]
-	sp, dp := m.pos[src], m.pos[dst]
+	ss := &m.secs[m.sec.Index(src)]
+	ds := &m.secs[m.sec.Index(dst)]
+	sp, dp := ss.pos(src), ds.pos(dst)
 
 	// Case 1: read forward on the same track.
 	if ss.track == ds.track && dst > src && ds.section <= ss.section+2 {
@@ -345,16 +354,18 @@ func (m *Model) LocateTime(src, dst int) float64 {
 	scanDist := math.Abs(landing - sp)
 	readDist := math.Abs(dp - landing)
 
+	// The reversal count is formed in integers, which compile to
+	// conditional moves: which way the head scans is a coin flip on
+	// random pairs, too costly to branch on.
 	const eps = 1e-12
 	scanDir := ss.dir
 	if scanDist > eps {
+		scanDir = -1
 		if landing > sp {
 			scanDir = 1
-		} else {
-			scanDir = -1
 		}
 	}
-	var reversals float64
+	reversals := 0
 	if scanDir != ss.dir {
 		reversals++
 	}
@@ -362,7 +373,7 @@ func (m *Model) LocateTime(src, dst int) float64 {
 		reversals++
 	}
 	t := m.p.OverheadSec +
-		reversals*m.p.ReverseSec +
+		float64(reversals)*m.p.ReverseSec +
 		m.p.ScanSecPerSection*scanDist +
 		m.p.ReadSecPerSection*readDist
 	if ss.track != ds.track {
@@ -398,7 +409,7 @@ func (m *Model) referenceLocateTime(src, dst int) float64 {
 // segment at read speed; ~22 ms for a 32 KB DLT4000 segment,
 // equivalent to the 1.5 MB/s sustained rate).
 func (m *Model) ReadTime(lbn int) float64 {
-	return m.secs[m.secOf[lbn]].readTime
+	return m.secs[m.sec.Index(lbn)].readTime
 }
 
 // referenceReadTime recomputes ReadTime from the geometry.
@@ -415,8 +426,9 @@ func (m *Model) referenceReadTime(lbn int) float64 {
 // cartridges must rewind to eject, so batch executions on a robot end
 // with one of these.
 func (m *Model) RewindTime(lbn int) float64 {
-	t := m.p.OverheadSec + m.p.ScanSecPerSection*m.pos[lbn]
-	if m.secs[m.secOf[lbn]].dir > 0 {
+	s := &m.secs[m.sec.Index(lbn)]
+	t := m.p.OverheadSec + m.p.ScanSecPerSection*s.pos(lbn)
+	if s.dir > 0 {
 		// The head was moving away from the beginning of tape.
 		t += m.p.ReverseSec
 	}

@@ -135,6 +135,10 @@ func stampSeq(ev Event, n int64) Event {
 // Events returns the retained events, oldest first.
 func (r *EventRing) Events() []Event { return r.store().Items() }
 
+// AppendEvents appends the retained events, oldest first, to dst; see
+// Ring.AppendItems.
+func (r *EventRing) AppendEvents(dst []Event) []Event { return r.store().AppendItems(dst) }
+
 // Tail returns the retained events whose emission index (0-based
 // position in the total stream) is at least from, oldest first; see
 // Ring.Tail.

@@ -61,9 +61,25 @@ func (r *Ring[T]) Items() []T {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]T, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	return append(out, r.buf[:r.next]...)
+	return r.appendItems(make([]T, 0, len(r.buf)))
+}
+
+// AppendItems appends the retained items, oldest first, to dst and
+// returns the extended slice. A consumer folding several rings sizes
+// dst once (Total minus Dropped is each ring's retained count) instead
+// of copying every ring twice.
+func (r *Ring[T]) AppendItems(dst []T) []T {
+	if r == nil {
+		return dst
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.appendItems(dst)
+}
+
+func (r *Ring[T]) appendItems(dst []T) []T {
+	dst = append(dst, r.buf[r.next:]...)
+	return append(dst, r.buf[:r.next]...)
 }
 
 // Tail returns the retained items whose position in the total stream

@@ -7,8 +7,14 @@ package tertiary
 // The seed implementation rebuilt the whole remaining queue on every
 // mount decision, which is quadratic under sustained load; see
 // BenchmarkBatchQueue for the comparison.
+//
+// A cartridge's group leaves perTape when it drains, so that pick
+// only ever sees cartridges with work; its tapeQueue goes on a spare
+// list and the next new group reuses it, backing array and all, so a
+// cartridge that drains and refills does not regrow its queue.
 type batchQueue struct {
 	perTape map[int64]*tapeQueue
+	spare   []*tapeQueue
 	total   int
 }
 
@@ -27,7 +33,12 @@ func newBatchQueue() *batchQueue {
 func (q *batchQueue) push(p pending) {
 	tq := q.perTape[p.obj.Tape]
 	if tq == nil {
-		tq = &tapeQueue{}
+		if n := len(q.spare); n > 0 {
+			tq = q.spare[n-1]
+			q.spare = q.spare[:n-1]
+		} else {
+			tq = &tapeQueue{}
+		}
 		q.perTape[p.obj.Tape] = tq
 	}
 	tq.reqs = append(tq.reqs, p)
@@ -44,29 +55,30 @@ func (tq *tapeQueue) len() int { return len(tq.reqs) - tq.head }
 func (tq *tapeQueue) oldest() float64 { return tq.reqs[tq.head].req.Arrival }
 
 // take removes up to limit requests for the cartridge in arrival
-// order (limit <= 0 drains the group). The dead prefix is compacted
-// once it dominates the backing array, keeping push amortized O(1)
-// without unbounded growth.
-func (q *batchQueue) take(serial int64, limit int) []pending {
+// order (limit <= 0 drains the group) and appends them to dst. The
+// dead prefix is compacted once it dominates the backing array,
+// keeping push amortized O(1) without unbounded growth.
+func (q *batchQueue) take(dst []pending, serial int64, limit int) []pending {
 	tq := q.perTape[serial]
 	if tq == nil {
-		return nil
+		return dst
 	}
 	n := tq.len()
 	if limit > 0 && limit < n {
 		n = limit
 	}
-	out := make([]pending, n)
-	copy(out, tq.reqs[tq.head:tq.head+n])
+	dst = append(dst, tq.reqs[tq.head:tq.head+n]...)
 	tq.head += n
 	q.total -= n
 	if tq.len() == 0 {
 		delete(q.perTape, serial)
+		tq.reqs, tq.head = tq.reqs[:0], 0
+		q.spare = append(q.spare, tq)
 	} else if tq.head > len(tq.reqs)/2 {
 		tq.reqs = append(tq.reqs[:0], tq.reqs[tq.head:]...)
 		tq.head = 0
 	}
-	return out
+	return dst
 }
 
 // pick chooses the next cartridge to mount among those not excluded:

@@ -20,7 +20,7 @@ func TestBatchQueueTakePreservesArrivalOrder(t *testing.T) {
 	if q.len() != 6 {
 		t.Fatalf("len %d, want 6", q.len())
 	}
-	got := q.take(100, 2)
+	got := q.take(nil, 100, 2)
 	if len(got) != 2 || got[0].obj.Start != 0 || got[1].obj.Start != 20 {
 		t.Fatalf("take(100, 2) = %+v", got)
 	}
@@ -28,15 +28,25 @@ func TestBatchQueueTakePreservesArrivalOrder(t *testing.T) {
 		t.Fatalf("len %d after take, want 4", q.len())
 	}
 	// limit 0 drains the rest of the tape.
-	rest := q.take(100, 0)
+	rest := q.take(nil, 100, 0)
 	if len(rest) != 1 || rest[0].obj.Start != 40 {
 		t.Fatalf("take(100, 0) = %+v", rest)
 	}
 	if _, ok := q.perTape[100]; ok {
 		t.Fatal("drained tape still present in perTape")
 	}
-	if q.take(999, 0) != nil {
+	if q.take(nil, 999, 0) != nil {
 		t.Fatal("take on unknown tape returned a batch")
+	}
+	// The drained queue is reused, empty, by the next new group, and
+	// take appends to the buffer it is given.
+	q.push(qpending(102, 7, 9))
+	if len(q.spare) != 0 || q.perTape[102].len() != 1 || q.perTape[102].oldest() != 9 {
+		t.Fatalf("new group did not start from the drained queue: spare %d, group %+v", len(q.spare), q.perTape[102])
+	}
+	buf := q.take(rest[:1], 102, 0)
+	if len(buf) != 2 || buf[0].obj.Start != 40 || buf[1].obj.Start != 7 {
+		t.Fatalf("take(buf, 102, 0) = %+v", buf)
 	}
 }
 
@@ -86,7 +96,7 @@ func TestBatchQueueCompaction(t *testing.T) {
 	// Consume past the halfway mark in small bites; the backing slice
 	// must compact instead of retaining every served entry.
 	for i := 0; i < 6; i++ {
-		q.take(1, 10)
+		q.take(nil, 1, 10)
 	}
 	tq := q.perTape[1]
 	if tq.head != 0 {
@@ -95,7 +105,7 @@ func TestBatchQueueCompaction(t *testing.T) {
 	if len(tq.reqs) != 40 {
 		t.Fatalf("backing slice holds %d entries, want the 40 live ones", len(tq.reqs))
 	}
-	if got := q.take(1, 0); len(got) != 40 || got[0].obj.Start != 60 {
+	if got := q.take(nil, 1, 0); len(got) != 40 || got[0].obj.Start != 60 {
 		t.Fatalf("post-compaction drain = %d entries starting %d", len(got), got[0].obj.Start)
 	}
 }
@@ -124,7 +134,7 @@ func BenchmarkBatchQueueTake(b *testing.B) {
 			if !ok {
 				b.Fatal("pick failed with work pending")
 			}
-			if len(q.take(serial, 16)) == 0 {
+			if len(q.take(nil, serial, 16)) == 0 {
 				b.Fatal("empty take")
 			}
 		}

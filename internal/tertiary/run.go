@@ -3,6 +3,7 @@ package tertiary
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -61,8 +62,9 @@ type driveState struct {
 type runState struct {
 	l         *Library
 	cfg       Config
-	arrivals  []pending // in arrival order; index is the request ID
-	next      int       // next un-admitted arrival
+	arrivals  []pending // in arrival order; arrivals[i] is request base+i
+	next      int       // index in arrivals of the next un-admitted arrival
+	base      int       // requests before it are admitted and dropped
 	queueCap  int
 	adm       *server.AdmissionQueue
 	q         *batchQueue
@@ -137,6 +139,8 @@ type runState struct {
 	slotOf map[int]int32
 	slots  [][]pending
 	admBuf []server.Request
+	// taken backs the batch serve cuts off the backlog.
+	taken []pending
 }
 
 // robotHeld is the loadedBy sentinel for a cartridge in the robot's
@@ -357,8 +361,9 @@ func (s *runState) admit(until float64) {
 		}
 	}
 	for s.next < len(s.arrivals) && s.arrivals[s.next].req.Arrival <= until {
-		p := s.arrivals[s.next]
-		id := s.next
+		i := s.next
+		p := s.arrivals[i]
+		id := s.base + i
 		s.next++
 		if s.breaker != nil && !s.breaker.Admits(p.req.BestEffort) {
 			s.shedRequests(1)
@@ -371,7 +376,7 @@ func (s *runState) admit(until float64) {
 				s.emitTerminal(p, obs.OutcomeFailed, obs.EventNoDrive, p.req.Arrival)
 				continue
 			}
-			s.arrivals[id] = p // the drain below re-reads by ID
+			s.arrivals[i] = p // the drain below re-reads by ID
 		}
 		if s.q.len()+s.adm.Len() >= depthCap ||
 			!s.adm.Offer(server.Request{ID: id, Segment: p.obj.Start, ArrivalSec: p.req.Arrival}) {
@@ -386,7 +391,15 @@ func (s *runState) admit(until float64) {
 	// Drain the admission queue into the robot's per-cartridge view.
 	s.admBuf = s.adm.PopNAppend(s.admBuf[:0], 0)
 	for _, r := range s.admBuf {
-		s.q.push(s.arrivals[r.ID])
+		s.q.push(s.arrivals[r.ID-s.base])
+	}
+	// Every arrival before next is now queued or turned away. Once all
+	// are, drop them: an incremental run, offered one request per
+	// advance, then keeps a record of only a few arrivals instead of
+	// one that grows for the whole run.
+	if s.next == len(s.arrivals) {
+		s.base += s.next
+		s.arrivals, s.next = s.arrivals[:0], 0
 	}
 	if d := s.q.len(); d > s.m.MaxQueueDepth {
 		s.m.MaxQueueDepth = d
@@ -878,7 +891,8 @@ func (s *runState) serve(d *driveState, serial int64, now float64) (bool, error)
 	if s.cfg.Policy == server.ReplanOnArrival {
 		limit = 1
 	}
-	batch := s.q.take(serial, limit)
+	batch := s.q.take(s.taken[:0], serial, limit)
+	s.taken = batch
 	if len(batch) == 0 {
 		return false, fmt.Errorf("tertiary: internal: dispatched empty batch for tape %d", serial)
 	}
@@ -1040,7 +1054,7 @@ func (s *runState) loseCartridge(d *driveState, serial int64, now float64, batch
 		s.trace.Start("lost-cartridge", s.root, now).
 			Attr("tape", strconv.FormatInt(serial, 10)).End(tripEnd)
 	}
-	batch = append(batch, s.q.take(serial, 0)...)
+	batch = s.q.take(batch, serial, 0)
 	redirected := make([]pending, 0, len(batch))
 	for _, p := range batch {
 		if s.redirect(&p) {
@@ -1136,6 +1150,13 @@ func (s *runState) serveClass(d *driveState, serial int64, now, serveStart, c0, 
 				TransferSec: det.ReadSec,
 				RetrySec:    det.RetrySec,
 				RescueSec:   p.rescueSec,
+			}
+			if len(s.done) == cap(s.done) {
+				// An incremental run's record grows from empty one
+				// completion at a time. Doubling copies it about once
+				// in all; append's 1.25x growth of a large slice would
+				// copy it several times over.
+				s.done = slices.Grow(s.done, max(len(s.done), 64))
 			}
 			s.done = append(s.done, Completion{
 				Request: p.req, Object: p.obj,

@@ -53,7 +53,7 @@ func (r *Runner) OfferRouted(req Request, route string) error {
 	if s.finished {
 		return fmt.Errorf("tertiary: offer after Finish")
 	}
-	p, dl, err := s.l.resolve(len(s.arrivals), req)
+	p, dl, err := s.l.resolve(s.base+len(s.arrivals), req)
 	if err != nil {
 		return err
 	}

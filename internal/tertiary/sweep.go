@@ -245,6 +245,7 @@ func (l *Library) Clone(cfg Config) *Library {
 		catalog: l.catalog,
 		carts:   l.carts,
 		sched:   sched,
+		layout:  l.layout,
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"serpentine/internal/core"
 	"serpentine/internal/fault"
@@ -373,6 +374,15 @@ type Library struct {
 	catalog *Catalog
 	carts   map[int64]*locate.Cartridge
 	sched   core.Scheduler
+	layout  *layout // shared by every clone
+}
+
+// layout is the catalog grouped per cartridge in layout order, built
+// on first use. Clones share it, so a staging tier opened on each of
+// many clones indexes the catalog once.
+type layout struct {
+	once   sync.Once
+	byTape map[int64][]Object
 }
 
 // New builds the library over the interned cartridges (locate.Load):
@@ -399,6 +409,7 @@ func New(cfg Config, catalog *Catalog) (*Library, error) {
 		catalog: catalog,
 		carts:   make(map[int64]*locate.Cartridge, len(cfg.Tapes)),
 		sched:   sched,
+		layout:  new(layout),
 	}
 	for _, serial := range cfg.Tapes {
 		if _, dup := l.carts[serial]; dup {
@@ -436,6 +447,22 @@ func (l *Library) Config() Config { return l.cfg }
 // Objects returns the catalog's entries in layout order (see
 // Catalog.All).
 func (l *Library) Objects() []Object { return l.catalog.All() }
+
+// Object looks a cataloged object up by ID.
+func (l *Library) Object(id string) (Object, bool) { return l.catalog.Get(id) }
+
+// TapeObjects returns the cataloged objects whose primary copy is on
+// the cartridge, in layout order (Start, then ID). The slice is shared
+// by the library and its clones and must not be modified.
+func (l *Library) TapeObjects(serial int64) []Object {
+	l.layout.once.Do(func() {
+		l.layout.byTape = make(map[int64][]Object)
+		for _, o := range l.catalog.All() {
+			l.layout.byTape[o.Tape] = append(l.layout.byTape[o.Tape], o)
+		}
+	})
+	return l.layout.byTape[serial]
+}
 
 // RefetchSec is the modeled cost of fetching the object from tape
 // again: a locate from the load point to the extent plus the extent's
